@@ -46,12 +46,15 @@ e2e:
 # bench runs the harness-grid scaling benchmark, the telemetry
 # overhead benchmark (acceptance budget: "on" < 5% over "off"), the
 # encode allocation benchmark with wavefront off and on (budget in
-# ALLOC_BUDGET.json), the wavefront row-parallel encode benchmark,
-# the transcode-cache hit/miss benchmarks (internal/cas), and the
-# codec kernel micro-benchmarks (scalar vs SWAR, internal/codec/kern),
-# and records the machine-readable report in BENCH_harness.json.
+# ALLOC_BUDGET.json), the wavefront row-parallel encode benchmark, the
+# decode benchmark, the transcode-cache hit/miss benchmarks, the codec
+# kernel micro-benchmarks (scalar vs SWAR, internal/codec/kern), and
+# the motion-compensation micro-benchmark at an edge vs an interior
+# origin (internal/codec/motion: with bordered references the
+# edge/interior ratio is about 1), and records the machine-readable
+# report in BENCH_harness.json.
 bench:
-	$(GO) test -bench 'HarnessGrid|TelemetryOverhead|EncodeAllocs|WavefrontEncode|CacheHit|CacheMiss|SAD|SATD|DCT|Quant|Interp' -benchmem -run '^$$' . ./internal/codec/kern \
+	$(GO) test -bench 'HarnessGrid|TelemetryOverhead|EncodeAllocs|WavefrontEncode|Decode|CacheHit|CacheMiss|SAD|SATD|DCT|Quant|Interp|MotionComp' -benchmem -run '^$$' . ./internal/codec/kern ./internal/codec/motion \
 		| $(GO) run ./cmd/benchjson -o BENCH_harness.json
 
 # fingerprint regenerates the codec-version fingerprint baked into

@@ -69,10 +69,9 @@ func requireIdentical(t *testing.T, want, got encodeOut, label string) {
 // TestPooledEncodeMatchesFreshAllocation pins the determinism contract
 // of the scratch arenas and the frame pool: an encode drawing recycled
 // memory must be byte-identical to one running on fresh allocations.
-// Unaligned dimensions exercise the pooled-reference path (padded
-// reconstructions are recycled once evicted); aligned dimensions
-// exercise the escape path (reconstructions alias the returned
-// sequence and must never be pooled).
+// Bordered reconstructions are recycled once evicted from the
+// reference list, at aligned and macroblock-padded dimensions alike;
+// the returned sequence is always a copy.
 func TestPooledEncodeMatchesFreshAllocation(t *testing.T) {
 	dims := [][2]int{{64, 48}, {52, 38}}
 	cfgs := []Config{

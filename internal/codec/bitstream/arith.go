@@ -1,5 +1,7 @@
 package bitstream
 
+import "errors"
+
 // Adaptive binary arithmetic coder following the boolean coder of
 // RFC 6386 (VP8). A probability is an 8-bit value p in [1, 255] giving
 // the chance the coded bit is 0, scaled by 256. The encoder and
@@ -240,23 +242,29 @@ func (e *ArithEncoder) EncodeUnaryGolomb(v uint32, ctxs []Context, maxPrefix int
 	}
 }
 
-// DecodeUnaryGolomb mirrors EncodeUnaryGolomb.
-func (d *ArithDecoder) DecodeUnaryGolomb(ctxs []Context, maxPrefix int, k uint) uint32 {
+// DecodeUnaryGolomb mirrors EncodeUnaryGolomb. A suffix whose escape
+// run reaches order 32 cannot come from a 32-bit value; it is
+// rejected rather than followed, because a corrupt stream can decode
+// as an endless run of ones.
+func (d *ArithDecoder) DecodeUnaryGolomb(ctxs []Context, maxPrefix int, k uint) (uint32, error) {
 	var v uint32
 	i := 0
 	for ; i < maxPrefix; i++ {
 		if d.DecodeCtx(ctxCap(ctxs, i)) == 0 {
-			return v
+			return v, nil
 		}
 		v++
 	}
 	var excess uint32
 	for d.DecodeBypass() == 1 {
+		if k >= 32 {
+			return 0, errors.New("bitstream: malformed unary/Exp-Golomb code")
+		}
 		excess += 1 << k
 		k++
 	}
 	excess += d.DecodeBypassBits(k)
-	return uint32(maxPrefix) + excess
+	return uint32(maxPrefix) + excess, nil
 }
 
 // ctxCap indexes into a context slice, clamping to the last element so

@@ -284,8 +284,8 @@ func TestUnaryGolombRoundTrip(t *testing.T) {
 			InitContexts(decCtx)
 			d := NewArithDecoder(e.Bytes())
 			for _, v := range vals {
-				if got := d.DecodeUnaryGolomb(decCtx, maxPrefix, k); got != v {
-					t.Fatalf("maxPrefix=%d k=%d: got %d want %d", maxPrefix, k, got, v)
+				if got, err := d.DecodeUnaryGolomb(decCtx, maxPrefix, k); err != nil || got != v {
+					t.Fatalf("maxPrefix=%d k=%d: got %d (%v) want %d", maxPrefix, k, got, err, v)
 				}
 			}
 		}
@@ -304,7 +304,7 @@ func TestUnaryGolombRoundTripProperty(t *testing.T) {
 		InitContexts(decCtx)
 		d := NewArithDecoder(e.Bytes())
 		for _, v := range vs {
-			if d.DecodeUnaryGolomb(decCtx, 8, 2) != v%(1<<20) {
+			if got, err := d.DecodeUnaryGolomb(decCtx, 8, 2); err != nil || got != v%(1<<20) {
 				return false
 			}
 		}
@@ -312,6 +312,37 @@ func TestUnaryGolombRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUnaryGolombExtremes round-trips the largest codes and checks
+// that a stream decoding as an endless run of ones — what a corrupt
+// buffer can look like to the arithmetic decoder — is rejected instead
+// of followed forever.
+func TestUnaryGolombExtremes(t *testing.T) {
+	vals := []uint32{1<<31 - 1, 1 << 31, 1<<32 - 1}
+	encCtx := make([]Context, 4)
+	InitContexts(encCtx)
+	e := NewArithEncoder()
+	for _, v := range vals {
+		e.EncodeUnaryGolomb(v, encCtx, 10, 1)
+	}
+	decCtx := make([]Context, 4)
+	InitContexts(decCtx)
+	d := NewArithDecoder(e.Bytes())
+	for _, v := range vals {
+		if got, err := d.DecodeUnaryGolomb(decCtx, 10, 1); err != nil || got != v {
+			t.Fatalf("got %d (%v) want %d", got, err, v)
+		}
+	}
+
+	ones := NewArithEncoder()
+	for i := 0; i < 200; i++ {
+		ones.EncodeBypass(1)
+	}
+	InitContexts(decCtx)
+	if _, err := NewArithDecoder(ones.Bytes()).DecodeUnaryGolomb(decCtx, 0, 1); err == nil {
+		t.Fatal("an endless escape run decoded without error")
 	}
 }
 

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"vbench/internal/codec/motion"
 	"vbench/internal/codec/transform"
 	"vbench/internal/perf"
 	"vbench/internal/video"
@@ -31,21 +32,21 @@ func deblockThresholds(qp int) (alpha, beta, tc int) {
 	return alpha, beta, tc
 }
 
-// deblockFrame filters a padded reconstructed frame in place. qpGrid
-// holds the per-macroblock quantizers (wMB×hMB).
+// deblockFrame filters a bordered reconstruction's interior in place.
+// qpGrid holds the per-macroblock quantizers (wMB×hMB).
 func deblockFrame(f *video.Frame, qpGrid []int, wMB, hMB int, c *perf.Counters) {
 	// Luma: vertical then horizontal edges on the 8×8 grid.
-	deblockPlane(f.Y, f.Width, f.Height, 8, 1, qpGrid, wMB, c)
+	deblockPlane(reconPlane(f, video.PlaneY), 8, 1, qpGrid, wMB, c)
 	// Chroma: macroblock-boundary edges only (8-pixel grid in the
 	// half-resolution planes corresponds to 16-pixel luma boundaries).
-	deblockPlane(f.Cb, f.ChromaWidth(), f.ChromaHeight(), 8, 2, qpGrid, wMB, c)
-	deblockPlane(f.Cr, f.ChromaWidth(), f.ChromaHeight(), 8, 2, qpGrid, wMB, c)
+	deblockPlane(reconPlane(f, video.PlaneCb), 8, 2, qpGrid, wMB, c)
+	deblockPlane(reconPlane(f, video.PlaneCr), 8, 2, qpGrid, wMB, c)
 }
 
-// deblockPlane filters one plane. grid is the edge spacing in plane
-// pixels; lumaScale is 1 for luma (16-pixel MBs) and 2 for chroma
-// (8-pixel MBs in plane coordinates).
-func deblockPlane(pix []uint8, w, h, grid, lumaScale int, qpGrid []int, wMB int, c *perf.Counters) {
+// deblockPlane filters the interior of one plane. grid is the edge
+// spacing in plane pixels; lumaScale is 1 for luma (16-pixel MBs) and
+// 2 for chroma (8-pixel MBs in plane coordinates).
+func deblockPlane(p motion.Plane, grid, lumaScale int, qpGrid []int, wMB int, c *perf.Counters) {
 	mbDim := MBSize / lumaScale
 	qpAt := func(x, y int) int {
 		mx := x / mbDim
@@ -56,13 +57,14 @@ func deblockPlane(pix []uint8, w, h, grid, lumaScale int, qpGrid []int, wMB int,
 		}
 		return qpGrid[idx]
 	}
+	pix, w, h, s := p.Pix, p.W, p.H, p.Stride
 	var ops int64
 	// Vertical edges (filter across columns).
 	for x := grid; x < w; x += grid {
 		for y := 0; y < h; y++ {
 			qp := (qpAt(x-1, y) + qpAt(x, y) + 1) / 2
 			alpha, beta, tc := deblockThresholds(qp)
-			i := y*w + x
+			i := p.Off(x, y)
 			filterEdge(pix, i-1, i,
 				int(pix[i-2]), int(pix[i-1]), int(pix[i]), int(pix[i+1]),
 				alpha, beta, tc)
@@ -74,9 +76,9 @@ func deblockPlane(pix []uint8, w, h, grid, lumaScale int, qpGrid []int, wMB int,
 		for x := 0; x < w; x++ {
 			qp := (qpAt(x, y-1) + qpAt(x, y) + 1) / 2
 			alpha, beta, tc := deblockThresholds(qp)
-			i := y*w + x
-			filterEdge(pix, i-w, i,
-				int(pix[i-2*w]), int(pix[i-w]), int(pix[i]), int(pix[i+w]),
+			i := p.Off(x, y)
+			filterEdge(pix, i-s, i,
+				int(pix[i-2*s]), int(pix[i-s]), int(pix[i]), int(pix[i+s]),
 				alpha, beta, tc)
 			ops += 4
 		}

@@ -3,6 +3,7 @@ package codec
 import (
 	"testing"
 
+	"vbench/internal/codec/motion"
 	"vbench/internal/perf"
 	"vbench/internal/video"
 )
@@ -26,24 +27,32 @@ func TestDeblockThresholdsGrowWithQP(t *testing.T) {
 	}
 }
 
+// lumaStepFrame returns a bordered 32×32 reconstruction whose luma
+// steps from lo to hi at column 8, and its luma plane.
+func lumaStepFrame(lo, hi uint8) (*video.Frame, motion.Plane) {
+	g := video.NewFrame(32, 32)
+	for y := 0; y < 32; y++ {
+		for x := 0; x < 32; x++ {
+			v := lo
+			if x >= 8 {
+				v = hi
+			}
+			g.Y[y*32+x] = v
+		}
+	}
+	f := toRecon(g)
+	return f, reconPlane(f, video.PlaneY)
+}
+
 func TestDeblockSmoothsBlockEdge(t *testing.T) {
 	// A small step at an 8-pixel boundary (a coding artifact) must be
 	// reduced.
-	f := video.NewFrame(32, 32)
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 32; x++ {
-			v := uint8(100)
-			if x >= 8 {
-				v = 108
-			}
-			f.Y[y*32+x] = v
-		}
-	}
+	f, y := lumaStepFrame(100, 108)
 	qpGrid := []int{35, 35, 35, 35}
 	var c perf.Counters
 	deblockFrame(f, qpGrid, 2, 2, &c)
 	stepBefore := 8
-	stepAfter := int(f.Y[16*32+8]) - int(f.Y[16*32+7])
+	stepAfter := int(y.Pix[y.Off(8, 16)]) - int(y.Pix[y.Off(7, 16)])
 	if stepAfter >= stepBefore {
 		t.Errorf("edge step not reduced: %d -> %d", stepBefore, stepAfter)
 	}
@@ -54,32 +63,25 @@ func TestDeblockSmoothsBlockEdge(t *testing.T) {
 
 func TestDeblockPreservesRealEdges(t *testing.T) {
 	// A large step (a real edge) must pass through untouched.
-	f := video.NewFrame(32, 32)
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 32; x++ {
-			v := uint8(40)
-			if x >= 8 {
-				v = 200
-			}
-			f.Y[y*32+x] = v
-		}
-	}
+	f, y := lumaStepFrame(40, 200)
 	qpGrid := []int{30, 30, 30, 30}
 	var c perf.Counters
 	deblockFrame(f, qpGrid, 2, 2, &c)
-	if f.Y[16*32+7] != 40 || f.Y[16*32+8] != 200 {
-		t.Errorf("real edge modified: %d | %d", f.Y[16*32+7], f.Y[16*32+8])
+	if p0, q0 := y.Pix[y.Off(7, 16)], y.Pix[y.Off(8, 16)]; p0 != 40 || q0 != 200 {
+		t.Errorf("real edge modified: %d | %d", p0, q0)
 	}
 }
 
 func TestDeblockFlatRegionUnchanged(t *testing.T) {
-	f := video.NewFrame(32, 32)
-	for i := range f.Y {
-		f.Y[i] = 128
+	flat := video.NewFrame(32, 32)
+	for i := range flat.Y {
+		flat.Y[i] = 128
 	}
+	f := toRecon(flat)
 	qpGrid := []int{40, 40, 40, 40}
 	var c perf.Counters
 	deblockFrame(f, qpGrid, 2, 2, &c)
+	// Every sample of the bordered picture, border included, stays.
 	for i, v := range f.Y {
 		if v != 128 {
 			t.Fatalf("flat sample %d changed to %d", i, v)
@@ -94,7 +96,7 @@ func TestDeblockDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return seq.Frames[0]
+		return toRecon(seq.Frames[0])
 	}
 	a, b := mk(), mk()
 	grid := make([]int, 16)

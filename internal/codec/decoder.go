@@ -25,12 +25,10 @@ func Decode(data []byte) (*video.Sequence, *perf.Counters, error) {
 	mbW := hdr.paddedWidth() / MBSize
 	mbH := hdr.paddedHeight() / MBSize
 
+	// As in the encoder, reconstructions are bordered and private
+	// (cropFrame copies them out), recycled once evicted.
 	var refs []*video.Frame
 	bounds := sliceBounds(mbH, hdr.slices)
-	// Same pooling rule as the encoder: padded reconstructions are
-	// decoder-private (cropFrame copies them) and recyclable; aligned
-	// ones escape through the returned sequence.
-	pooledRefs := hdr.paddedWidth() != hdr.width || hdr.paddedHeight() != hdr.height
 	scratches := make([]decScratch, hdr.slices)
 	qpGrid := make([]int, mbW*mbH)
 	for fi := 0; fi < hdr.frames; fi++ {
@@ -50,7 +48,7 @@ func Decode(data []byte) (*video.Sequence, *perf.Counters, error) {
 			return nil, nil, fmt.Errorf("codec: P frame %d without reference", fi)
 		}
 
-		recon := video.GetFrame(hdr.paddedWidth(), hdr.paddedHeight())
+		recon := getRecon(hdr.paddedWidth(), hdr.paddedHeight())
 		for s := 0; s < hdr.slices; s++ {
 			if off+4 > len(data) {
 				return nil, nil, fmt.Errorf("codec: truncated slice header at frame %d slice %d", fi, s)
@@ -89,12 +87,11 @@ func Decode(data []byte) (*video.Sequence, *perf.Counters, error) {
 		if hdr.deblock {
 			deblockFrame(recon, qpGrid, mbW, mbH, c)
 		}
+		extendBorders(recon)
 		refs = append([]*video.Frame{recon}, refs...)
 		if len(refs) > hdr.refs {
-			if pooledRefs {
-				for _, evicted := range refs[hdr.refs:] {
-					video.PutFrame(evicted)
-				}
+			for _, evicted := range refs[hdr.refs:] {
+				video.PutFrame(evicted)
 			}
 			refs = refs[:hdr.refs]
 		}
@@ -102,10 +99,8 @@ func Decode(data []byte) (*video.Sequence, *perf.Counters, error) {
 		c.Frames++
 		c.Pixels += int64(hdr.paddedWidth() * hdr.paddedHeight())
 	}
-	if pooledRefs {
-		for _, r := range refs {
-			video.PutFrame(r)
-		}
+	for _, r := range refs {
+		video.PutFrame(r)
 	}
 	return seq, c, nil
 }
@@ -346,12 +341,12 @@ func (fd *frameDecoder) reconstructInter(cand *mbCand, mbx, local, px, py int) e
 	}
 	ref := fd.refs[cand.ref]
 	var pred [MBSize * MBSize]uint8
-	mcLuma(fd.hdr, pred[:], lumaPlane(ref), px, py, cand.mv, &fd.sc.motion, fd.c)
+	mcLuma(fd.hdr, pred[:], reconPlane(ref, video.PlaneY), px, py, cand.mv, &fd.sc.motion, fd.c)
 	fd.composeLuma(cand, pred[:], px, py)
 
 	var cpred [64]uint8
 	for p := 0; p < 2; p++ {
-		motion.PredictChroma(cpred[:], chromaPlane(ref, p), px/2, py/2, cand.mv, 8, 8)
+		motion.PredictChroma(cpred[:], reconPlane(ref, chromaID(p)), px/2, py/2, cand.mv, 8, 8)
 		fd.c.Count(perf.KInterp, 64)
 		fd.composeChroma(cand, p, cpred[:], px, py)
 	}
@@ -361,7 +356,7 @@ func (fd *frameDecoder) reconstructInter(cand *mbCand, mbx, local, px, py int) e
 
 // reconstructIntra rebuilds an intra macroblock.
 func (fd *frameDecoder) reconstructIntra(cand *mbCand, mbx, local, px, py int) error {
-	reconY := lumaPlane(fd.recon)
+	reconY := reconPlane(fd.recon, video.PlaneY)
 	if cand.intra4 {
 		if err := fd.reconstructIntra4Luma(cand, px, py); err != nil {
 			return err
@@ -378,7 +373,7 @@ func (fd *frameDecoder) reconstructIntra(cand *mbCand, mbx, local, px, py int) e
 
 	var cpred [64]uint8
 	for p := 0; p < 2; p++ {
-		cp := chromaPlane(fd.recon, p)
+		cp := reconPlane(fd.recon, chromaID(p))
 		if !intraAvailClipped(cand.chromaMode, px/2, py/2, 8, cp, fd.sliceTopPx()/2) {
 			return fmt.Errorf("chroma mode %v unavailable at (%d,%d)", cand.chromaMode, px/2, py/2)
 		}
@@ -394,7 +389,7 @@ func (fd *frameDecoder) reconstructIntra(cand *mbCand, mbx, local, px, py int) e
 // block by block, predicting each 4×4 block from the samples
 // reconstructed before it — the exact mirror of buildIntra4Cand.
 func (fd *frameDecoder) reconstructIntra4Luma(cand *mbCand, px, py int) error {
-	reconY := lumaPlane(fd.recon)
+	reconY := reconPlane(fd.recon, video.PlaneY)
 	var pred [16]uint8
 	var rblk [16]int32
 	for b := 0; b < 16; b++ {
@@ -474,21 +469,7 @@ func (fd *frameDecoder) composeChroma(cand *mbCand, p int, pred []uint8, px, py 
 // commit writes the reconstructed MB into the frame and grid state.
 // local is the slice-local macroblock row.
 func (fd *frameDecoder) commit(cand *mbCand, mbx, local int) {
-	px, py := mbx*MBSize, (fd.rowStart+local)*MBSize
-	w := fd.recon.Width
-	for y := 0; y < MBSize; y++ {
-		copy(fd.recon.Y[(py+y)*w+px:(py+y)*w+px+MBSize], cand.lumaRecon[y*MBSize:(y+1)*MBSize])
-	}
-	cw := fd.recon.ChromaWidth()
-	for p := 0; p < 2; p++ {
-		plane := fd.recon.Cb
-		if p == 1 {
-			plane = fd.recon.Cr
-		}
-		for y := 0; y < 8; y++ {
-			copy(plane[(py/2+y)*cw+px/2:(py/2+y)*cw+px/2+8], cand.chromaRecon[p][y*8:(y+1)*8])
-		}
-	}
+	commitMB(fd.recon, cand, mbx*MBSize, (fd.rowStart+local)*MBSize)
 	info := fd.grid.at(mbx, local)
 	info.mode = cand.mode
 	info.mv = cand.mv

@@ -191,25 +191,17 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 		}
 		res.Counters.Add(&fpRes.Counters)
 		rc = newRateControl(cfg, src.Width()*src.Height(), src.FrameRate, len(src.Frames), fpRes.PerFrameBits, firstPassQP)
-		// Only the bit budget and counters outlive the first pass;
-		// recycle its reconstruction buffers for this pass.
-		video.PutSequence(fpRes.Recon)
 	} else {
 		rc = newRateControl(cfg, src.Width()*src.Height(), src.FrameRate, len(src.Frames), nil, 0)
 	}
 
 	out := hdr.marshal()
 
+	// Reconstructions are bordered pictures private to the encoder:
+	// cropFrame copies each one out, so a reference goes back to the
+	// pool as soon as it leaves the reference list.
 	var refs []*video.Frame
 	res.Recon = &video.Sequence{FrameRate: src.FrameRate}
-
-	// When the padded geometry differs from the display geometry,
-	// cropFrame copies the reconstruction, so the padded frames are
-	// encoder-private and can be recycled once evicted from the
-	// reference list. When they match, cropFrame returns the
-	// reconstruction itself — those frames escape through res.Recon
-	// and must never be returned to the pool.
-	pooledRefs := hdr.paddedWidth() != src.Width() || hdr.paddedHeight() != src.Height()
 
 	// Per-encode scratch state, one per slice lane: level arenas,
 	// candidate free lists, and motion-search buffers. Reused across
@@ -265,7 +257,7 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 		// Per-frame shared state: the reconstruction buffer, the QP
 		// grid, and (with AQ) the frame-level activity map. Slices
 		// write disjoint rows, so they encode concurrently.
-		recon := video.GetFrame(hdr.paddedWidth(), hdr.paddedHeight())
+		recon := getRecon(hdr.paddedWidth(), hdr.paddedHeight())
 		varBits, avgVarBits := fa.varBits, fa.avgVarBits
 
 		payloads := make([][]byte, nSlices)
@@ -382,12 +374,11 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 		if e.Tools.Deblock {
 			deblockFrame(recon, qpGrid, mbW, mbH, &res.Counters)
 		}
+		extendBorders(recon)
 		refs = append([]*video.Frame{recon}, refs...)
 		if len(refs) > e.Tools.MaxRefs {
-			if pooledRefs {
-				for _, evicted := range refs[e.Tools.MaxRefs:] {
-					video.PutFrame(evicted)
-				}
+			for _, evicted := range refs[e.Tools.MaxRefs:] {
+				video.PutFrame(evicted)
 			}
 			refs = refs[:e.Tools.MaxRefs]
 		}
@@ -420,10 +411,8 @@ func (e *Engine) Encode(src *video.Sequence, cfg Config) (*Result, error) {
 		}
 	}
 
-	if pooledRefs {
-		for _, r := range refs {
-			video.PutFrame(r)
-		}
+	for _, r := range refs {
+		video.PutFrame(r)
 	}
 	var candAllocs, levelOverflows, sadEarlyExits int64
 	for s := range scratches {
@@ -510,8 +499,6 @@ type frameEncoder struct {
 	lanes      []waveLane
 	wc         *waveCoord
 	gateShared bool
-
-	scratch [MBSize * MBSize]uint8
 }
 
 func newFrameEncoder(e *Engine, hdr *seqHeader, src, recon *video.Frame, qpGrid []int, refs []*video.Frame, mbW, ftype, qpBase int, c *perf.Counters, sc *encScratch) *frameEncoder {
@@ -623,18 +610,6 @@ func (fe *frameEncoder) encodeFrame() []byte {
 	return payload
 }
 
-// lumaPlane returns a motion.Plane view of a frame's luma.
-func lumaPlane(f *video.Frame) motion.Plane {
-	return motion.Plane{Pix: f.Y, W: f.Width, H: f.Height}
-}
-
-func chromaPlane(f *video.Frame, p int) motion.Plane {
-	if p == 0 {
-		return motion.Plane{Pix: f.Cb, W: f.ChromaWidth(), H: f.ChromaHeight()}
-	}
-	return motion.Plane{Pix: f.Cr, W: f.ChromaWidth(), H: f.ChromaHeight()}
-}
-
 // encodeMB codes the macroblock at column mbx, slice-local row local:
 // the serial path — decide, serialize, recycle.
 func (fe *frameEncoder) encodeMB(mbx, local int) {
@@ -687,7 +662,7 @@ func (fe *frameEncoder) decideMB(mbx, local int) (*mbCand, motion.MV) {
 // intra candidate (with a transform-size RD check when 8×8 is allowed).
 func (fe *frameEncoder) decideIntraMB(px, py, qp, qpDelta int) *mbCand {
 	t := &fe.eng.Tools
-	reconY := lumaPlane(fe.recon)
+	reconY := reconPlane(fe.recon, video.PlaneY)
 
 	bestMode := predict.ModeDC
 	var bestSATD int64 = math.MaxInt64
@@ -718,15 +693,15 @@ func (fe *frameEncoder) decideIntraMB(px, py, qp, qpDelta int) *mbCand {
 		var sad int64
 		ok := true
 		for p := 0; p < 2; p++ {
-			cp := chromaPlane(fe.recon, p)
+			cp := reconPlane(fe.recon, chromaID(p))
 			if !intraAvailClipped(m, px/2, py/2, 8, cp, fe.sliceTopPx()/2) {
 				ok = false
 				break
 			}
 			predict.PredictClipped(cpred[:], cp, px/2, py/2, 8, m, py/2 > fe.sliceTopPx()/2, px > 0)
 			fe.c.Count(perf.KIntra, 64)
-			srcp := chromaPlane(fe.src, p)
-			sad += kern.SAD(srcp.Pix[(py/2)*srcp.W+px/2:], srcp.W, cpred[:], 8, 8, 8)
+			srcp := srcPlane(fe.src, chromaID(p))
+			sad += kern.SAD(srcp.Pix[srcp.Off(px/2, py/2):], srcp.Stride, cpred[:], 8, 8, 8)
 		}
 		if ok && sad < bestCSAD {
 			bestCSAD = sad
@@ -752,16 +727,16 @@ func (fe *frameEncoder) decideIntraMB(px, py, qp, qpDelta int) *mbCand {
 func (fe *frameEncoder) decideInterMB(mbx, mby, px, py, qp, qpDelta int) *mbCand {
 	t := &fe.eng.Tools
 	predMV := fe.grid.predMV(mbx, mby)
-	srcY := lumaPlane(fe.src)
+	srcY := srcPlane(fe.src, video.PlaneY)
 
 	// 1. Early skip: if the prediction at the predicted MV is already
 	// tight, test whether the whole MB quantizes to zero.
-	ref0 := lumaPlane(fe.refs[0])
+	ref0 := reconPlane(fe.refs[0], video.PlaneY)
 	skipThresh := int64(transform.QStepQ6(qp)) * MBSize * MBSize / 64 / 2
 	// The SAD scan may abort at skipThresh+1: an aborted value is
 	// > skipThresh, so the skip decision below is identical to the one
 	// the exact SAD would make, and counter accounting is unchanged.
-	skipSAD, skipEarly := motion.PredSADThresh(srcY, px, py, ref0, predMV, MBSize, MBSize, fe.scratch[:], skipThresh+1, fe.c)
+	skipSAD, skipEarly := motion.PredSADThresh(srcY, px, py, ref0, predMV, MBSize, MBSize, skipThresh+1, fe.c)
 	if skipEarly {
 		fe.sc.motion.SADEarlyExits++
 	}
@@ -789,7 +764,7 @@ func (fe *frameEncoder) decideInterMB(mbx, mby, px, py, qp, qpDelta int) *mbCand
 	bestMV := motion.MV{}
 	var bestCost int64 = math.MaxInt64
 	for r := 0; r < len(fe.refs) && r < t.MaxRefs; r++ {
-		mv, cost := motion.Search(srcY, px, py, lumaPlane(fe.refs[r]), predMV, MBSize, MBSize, params, &fe.sc.motion, fe.c)
+		mv, cost := motion.Search(srcY, px, py, reconPlane(fe.refs[r], video.PlaneY), predMV, MBSize, MBSize, params, &fe.sc.motion, fe.c)
 		cost += lambdaSATDQ4[qp] * int64(r) / 4 // reference index rate
 		if cost < bestCost {
 			bestCost = cost
@@ -966,7 +941,7 @@ func (fe *frameEncoder) buildInterCand(px, py int, mv motion.MV, ref int, tx8 bo
 	*cand = mbCand{mode: mbInter, mv: mv, ref: ref, tx8: tx8, qp: qp, qpDelta: qpDelta}
 
 	var pred [MBSize * MBSize]uint8
-	mcLuma(fe.hdr, pred[:], lumaPlane(fe.refs[ref]), px, py, mv, &fe.sc.motion, fe.c)
+	mcLuma(fe.hdr, pred[:], reconPlane(fe.refs[ref], video.PlaneY), px, py, mv, &fe.sc.motion, fe.c)
 
 	var resid [MBSize * MBSize]int32
 	fe.lumaResidual(px, py, pred[:], resid[:])
@@ -975,7 +950,7 @@ func (fe *frameEncoder) buildInterCand(px, py int, mv motion.MV, ref int, tx8 bo
 	var cpred [64]uint8
 	var cres [64]int32
 	for p := 0; p < 2; p++ {
-		motion.PredictChroma(cpred[:], chromaPlane(fe.refs[ref], p), px/2, py/2, mv, 8, 8)
+		motion.PredictChroma(cpred[:], reconPlane(fe.refs[ref], chromaID(p)), px/2, py/2, mv, 8, 8)
 		fe.c.Count(perf.KInterp, 64)
 		fe.chromaResidual(px, py, p, cpred[:], cres[:])
 		fe.codeChroma(cand, p, cpred[:], cres[:], transform.DeadZoneInter, t.Trellis)
@@ -990,7 +965,7 @@ func (fe *frameEncoder) buildIntraCand(px, py int, lumaMode, chromaMode predict.
 	*cand = mbCand{mode: mbIntra, lumaMode: lumaMode, chromaMode: chromaMode, tx8: tx8, qp: qp, qpDelta: qpDelta}
 
 	var pred [MBSize * MBSize]uint8
-	predict.PredictClipped(pred[:], lumaPlane(fe.recon), px, py, MBSize, lumaMode, py > fe.sliceTopPx(), px > 0)
+	predict.PredictClipped(pred[:], reconPlane(fe.recon, video.PlaneY), px, py, MBSize, lumaMode, py > fe.sliceTopPx(), px > 0)
 	fe.c.Count(perf.KIntra, MBSize*MBSize)
 
 	var resid [MBSize * MBSize]int32
@@ -1008,7 +983,7 @@ func (fe *frameEncoder) codeChromaIntra(cand *mbCand, px, py int, chromaMode pre
 	var cpred [64]uint8
 	var cres [64]int32
 	for p := 0; p < 2; p++ {
-		predict.PredictClipped(cpred[:], chromaPlane(fe.recon, p), px/2, py/2, 8, chromaMode, py/2 > fe.sliceTopPx()/2, px > 0)
+		predict.PredictClipped(cpred[:], reconPlane(fe.recon, chromaID(p)), px/2, py/2, 8, chromaMode, py/2 > fe.sliceTopPx()/2, px > 0)
 		fe.c.Count(perf.KIntra, 64)
 		fe.chromaResidual(px, py, p, cpred[:], cres[:])
 		fe.codeChroma(cand, p, cpred[:], cres[:], transform.DeadZoneIntra, t.Trellis)
@@ -1022,7 +997,7 @@ func (fe *frameEncoder) buildIntra4Cand(px, py int, chromaMode predict.Mode, qp,
 	t := &fe.eng.Tools
 	cand := fe.sc.cands.get()
 	*cand = mbCand{mode: mbIntra, intra4: true, chromaMode: chromaMode, qp: qp, qpDelta: qpDelta}
-	reconY := lumaPlane(fe.recon)
+	reconY := reconPlane(fe.recon, video.PlaneY)
 	w := fe.src.Width
 
 	var pred, bestPred [16]uint8
@@ -1292,21 +1267,7 @@ func (fe *frameEncoder) writeMBTail(c *mbCand) {
 // applyCand commits a candidate's reconstruction into the frame and
 // updates the MB grid. local is the slice-local macroblock row.
 func (fe *frameEncoder) applyCand(c *mbCand, mbx, local int) {
-	px, py := mbx*MBSize, (fe.rowStart+local)*MBSize
-	w := fe.recon.Width
-	for y := 0; y < MBSize; y++ {
-		copy(fe.recon.Y[(py+y)*w+px:(py+y)*w+px+MBSize], c.lumaRecon[y*MBSize:(y+1)*MBSize])
-	}
-	cw := fe.recon.ChromaWidth()
-	for p := 0; p < 2; p++ {
-		plane := fe.recon.Cb
-		if p == 1 {
-			plane = fe.recon.Cr
-		}
-		for y := 0; y < 8; y++ {
-			copy(plane[(py/2+y)*cw+px/2:(py/2+y)*cw+px/2+8], c.chromaRecon[p][y*8:(y+1)*8])
-		}
-	}
+	commitMB(fe.recon, c, mbx*MBSize, (fe.rowStart+local)*MBSize)
 	info := fe.grid.at(mbx, local)
 	info.mode = c.mode
 	info.mv = c.mv

@@ -214,9 +214,9 @@ func (a *arithReader) Bypass() (int, error) {
 }
 
 func (a *arithReader) UE(set int) (uint32, error) {
-	v := a.d.DecodeUnaryGolomb(a.ctx[set][:], maxUnaryPrefix, 1)
+	v, err := a.d.DecodeUnaryGolomb(a.ctx[set][:], maxUnaryPrefix, 1)
 	a.bins += int64(bitstream.UEBits(v))
-	return v, nil
+	return v, err
 }
 
 func (a *arithReader) SE(set int) (int32, error) {

@@ -23,7 +23,7 @@ func intra4Sample(plane motion.Plane, cand *mbCand, px, py, lx, ly int) uint8 {
 	if lx >= 0 && lx < MBSize && ly >= 0 && ly < MBSize {
 		return cand.lumaRecon[ly*MBSize+lx]
 	}
-	return plane.Pix[(py+ly)*plane.W+px+lx]
+	return plane.Pix[plane.Off(px+lx, py+ly)]
 }
 
 // intra4Avail reports whether the given prediction mode has its

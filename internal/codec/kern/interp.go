@@ -2,11 +2,13 @@ package kern
 
 import "encoding/binary"
 
-// The bilinear kernels operate on the clamp-free interior case: the
-// caller guarantees that all four taps of every output sample lie
-// inside the reference plane, i.e. rows 0..bh and columns 0..bw
-// (inclusive) are addressable from ref. Edge-replicating positions
-// stay on the scalar paths in internal/codec/motion.
+// The interpolation kernels never clamp: the caller guarantees that
+// every tap of every output sample is addressable from ref — rows
+// 0..bh and columns 0..bw (inclusive) for the bilinear kernels, bh+3
+// rows of bw+3 samples for the 4-tap one. internal/codec/motion meets
+// that for every vector by reading from bordered reference planes
+// after clamping the block origin into the border (motion.EdgeReach),
+// so edge positions take these kernels too.
 //
 // Lane safety: weights are the quarter-pel (Σw = 16, round 8, shift 4)
 // or eighth-pel (Σw = 64, round 32, shift 6) bilinear sets, so a lane
@@ -110,4 +112,42 @@ func BilinearSADThresh(cur []uint8, curStride int, ref []uint8, refStride int, w
 		}
 	}
 	return sum, false
+}
+
+// PredictSharp writes the bw×bh separable 4-tap interpolation of ref
+// into dst (stride dstStride): a horizontal pass with taps wx over
+// bh+3 rows into tmp (Q6), then a vertical pass with taps wy, rounded
+// from Q12 and clipped to sample range. ref points one row above and
+// one column left of the block's integer origin and must address bh+3
+// rows of bw+3 samples with stride refStride; tmp must hold
+// bw·(bh+3) values. The taps sum to 64 with absolute sum at most 78,
+// so the first pass stays within ±78·255 and the second within
+// ±78²·255: int32 carries both exactly.
+//
+//vbench:noalloc
+func PredictSharp(dst []uint8, dstStride int, ref []uint8, refStride int, wx, wy *[4]int32, tmp []int32, bw, bh int) {
+	tmp = tmp[:bw*(bh+3)]
+	for y := 0; y < bh+3; y++ {
+		r := ref[y*refStride : y*refStride+bw+3]
+		t := tmp[y*bw : (y+1)*bw]
+		for x := range t {
+			t[x] = wx[0]*int32(r[x]) + wx[1]*int32(r[x+1]) + wx[2]*int32(r[x+2]) + wx[3]*int32(r[x+3])
+		}
+	}
+	for y := 0; y < bh; y++ {
+		t0 := tmp[y*bw : (y+1)*bw]
+		t1 := tmp[(y+1)*bw : (y+2)*bw]
+		t2 := tmp[(y+2)*bw : (y+3)*bw]
+		t3 := tmp[(y+3)*bw : (y+4)*bw]
+		d := dst[y*dstStride : y*dstStride+bw]
+		for x := range d {
+			v := (wy[0]*t0[x] + wy[1]*t1[x] + wy[2]*t2[x] + wy[3]*t3[x] + 2048) >> 12
+			if v < 0 {
+				v = 0
+			} else if v > 255 {
+				v = 255
+			}
+			d[x] = uint8(v)
+		}
+	}
 }

@@ -1,7 +1,8 @@
 // Package kern holds the SWAR-vectorized block kernels of the vbench
 // codec: packed sum-of-absolute-differences (8 pixels per uint64 word)
 // with deterministic early termination, bilinear interpolation and
-// fused interpolate+SAD for sub-pel motion search, fixed-size 4×4/8×8
+// fused interpolate+SAD for sub-pel motion search, the separable 4-tap
+// interpolation of the sharp-filter tool, fixed-size 4×4/8×8
 // DCT butterflies with hoisted bounds checks, 4×4 Hadamard SATD, and
 // reciprocal-table quantization with no per-coefficient divides.
 //
@@ -9,10 +10,10 @@
 // same integer arithmetic, same results to the bit, on every platform
 // (loads and stores go through encoding/binary with an explicit byte
 // order, so lane layout does not depend on host endianness). The
-// scalar implementations remain in internal/codec/motion and
-// internal/codec/transform as the normative references; randomized
-// cross-checks in those packages and in this one, plus the golden
-// digest suite in internal/codec, enforce equivalence.
+// scalar implementations live on as the normative references in the
+// test files of internal/codec/motion and internal/codec/transform;
+// randomized cross-checks in those packages and in this one, plus the
+// golden digest suite in internal/codec, enforce equivalence.
 //
 // SWAR layout: a uint64 word holds 8 consecutive samples. The even
 // bytes (0,2,4,6) and odd bytes (1,3,5,7) are unpacked into two words

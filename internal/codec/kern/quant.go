@@ -2,7 +2,8 @@ package kern
 
 import "sync/atomic"
 
-// Reciprocal-table quantization. transform.Quantize divides every
+// Reciprocal-table quantization. The scalar definition (the Quantize
+// oracle in internal/codec/transform's tests) divides every
 // coefficient by the quantizer step; this kernel replaces the divide
 // with a multiply by a precomputed per-QP magic reciprocal:
 //
@@ -51,8 +52,8 @@ func QuantDivFallbacks() int64 { return quantDivFallbacks.Load() }
 // (raster order) are quantized with the QP's reciprocal table and
 // written to zz in scan order (levels[i] for raster index scan[i]).
 // dz is the deadzone rounding offset in 1/64ths of the step. Returns
-// whether any level is nonzero. Results are bit-identical to
-// transform.Quantize followed by transform.Scan.
+// whether any level is nonzero. Results are bit-identical to the
+// divide-based quantizer followed by transform.Scan.
 //
 //vbench:noalloc
 func QuantScan(coeffs, zz []int32, scan []int, qp int, dz int64) bool {

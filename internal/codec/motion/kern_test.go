@@ -1,15 +1,20 @@
 package motion
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"vbench/internal/perf"
 )
 
-// randPlane builds a plane with one of several textures; tiny planes
-// force the clamped edge paths, larger ones the interior kernels.
-func randPlane(rng *rand.Rand, w, h int, mode int) Plane {
+// farReach is how far past an edge the cross-checks place block
+// origins: a 64-sample search range plus a block plus the filter
+// reach, beyond which the origin clamp makes every position alike.
+const farReach = 64 + 16 + EdgeReach
+
+// randPix returns a sample generator with one of several textures.
+func randPix(rng *rand.Rand, w, h int, mode int) func(x, y int) uint8 {
 	pix := make([]uint8, w*h)
 	switch mode {
 	case 0:
@@ -24,7 +29,23 @@ func randPlane(rng *rand.Rand, w, h int, mode int) Plane {
 			pix[i] = base + uint8(rng.Intn(5)) - 2
 		}
 	}
-	return Plane{Pix: pix, W: w, H: h}
+	return func(x, y int) uint8 { return pix[y*w+x] }
+}
+
+// randPlane builds a bordered reference plane (border testBorder).
+func randPlane(rng *rand.Rand, w, h int, mode int) Plane {
+	return borderedPlane(w, h, testBorder, randPix(rng, w, h, mode))
+}
+
+// randCur builds an unbordered current (source) plane.
+func randCur(rng *rand.Rand, w, h int, mode int) Plane {
+	return unbordered(randPlane(rng, w, h, mode))
+}
+
+// edgePos returns a block origin anywhere from farReach before the
+// start of an n-sample axis to farReach past its end.
+func edgePos(rng *rand.Rand, n int) int {
+	return rng.Intn(n+2*farReach) - farReach
 }
 
 func TestSADMatchesRef(t *testing.T) {
@@ -32,15 +53,15 @@ func TestSADMatchesRef(t *testing.T) {
 	for iter := 0; iter < 3000; iter++ {
 		W := 20 + rng.Intn(40)
 		H := 20 + rng.Intn(30)
-		cur := randPlane(rng, W, H, iter%3)
+		cur := randCur(rng, W, H, iter%3)
 		ref := randPlane(rng, W, H, (iter+1)%3)
 		bw := []int{4, 8, 16}[rng.Intn(3)]
 		bh := []int{4, 8, 16}[rng.Intn(3)]
 		cx := rng.Intn(W - bw + 1)
 		cy := rng.Intn(H - bh + 1)
-		// Reference positions range past every edge.
-		rx := rng.Intn(W+2*bw) - bw
-		ry := rng.Intn(H+2*bh) - bh
+		// Reference positions range far past every edge.
+		rx := edgePos(rng, W)
+		ry := edgePos(rng, H)
 
 		want := sadRef(cur, cx, cy, ref, rx, ry, bw, bh)
 		if got := SAD(cur, cx, cy, ref, rx, ry, bw, bh); got != want {
@@ -64,33 +85,97 @@ func randMV(rng *rand.Rand, r int) MV {
 	return MV{int32(rng.Intn(8*r+1) - 4*r), int32(rng.Intn(8*r+1) - 4*r)}
 }
 
+// checkPredictions compares the luma and/or chroma prediction entry
+// points against their clamped oracles for one block and vector.
+func checkPredictions(t *testing.T, ref Plane, bx, by int, mv MV, bw, bh int, sc *Scratch, luma, chroma bool) {
+	t.Helper()
+	got := make([]uint8, bw*bh)
+	want := make([]uint8, bw*bh)
+	type check struct {
+		name      string
+		prod, ref func(dst []uint8)
+	}
+	var cases []check
+	if luma {
+		cases = append(cases, []check{
+			{"PredictLuma",
+				func(d []uint8) { PredictLuma(d, ref, bx, by, mv, bw, bh) },
+				func(d []uint8) { predictLumaRef(d, ref, bx, by, mv, bw, bh) }},
+			{"PredictLumaSharp",
+				func(d []uint8) { PredictLumaSharp(d, ref, bx, by, mv, bw, bh, sc) },
+				func(d []uint8) { predictLumaSharpRef(d, ref, bx, by, mv, bw, bh) }},
+		}...)
+	}
+	if chroma {
+		cases = append(cases, check{"PredictChroma",
+			func(d []uint8) { PredictChroma(d, ref, bx, by, mv, bw, bh) },
+			func(d []uint8) { predictChromaRef(d, ref, bx, by, mv, bw, bh) }})
+	}
+	for _, c := range cases {
+		c.prod(got)
+		c.ref(want)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s %dx%d plane (%d,%d) mv=%v %dx%d [%d]: got %d want %d",
+					c.name, ref.W, ref.H, bx, by, mv, bw, bh, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestPredictMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
+	var sc Scratch
 	for iter := 0; iter < 3000; iter++ {
 		W := 18 + rng.Intn(40)
 		H := 18 + rng.Intn(30)
 		ref := randPlane(rng, W, H, iter%3)
 		bw := []int{4, 8, 16}[rng.Intn(3)]
 		bh := bw
-		bx := rng.Intn(W+bw) - bw/2 // straddles edges
-		by := rng.Intn(H+bh) - bh/2
-		mv := randMV(rng, 8)
+		bx := edgePos(rng, W)
+		by := edgePos(rng, H)
+		checkPredictions(t, ref, bx, by, randMV(rng, 8), bw, bh, &sc, true, true)
+	}
+}
 
-		got := make([]uint8, bw*bh)
-		want := make([]uint8, bw*bh)
-		PredictLuma(got, ref, bx, by, mv, bw, bh)
-		predictLumaRef(want, ref, bx, by, mv, bw, bh)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("PredictLuma (%d,%d) mv=%v %dx%d [%d]: got %d want %d", bx, by, mv, bw, bh, i, got[i], want[i])
-			}
-		}
+// edgeOrigins lists integer origins that matter for an n-sample axis
+// and block size b: far outside, at and around the origin clamp's
+// bounds (−(b+3) and n+2), straddling each edge, and just inside.
+func edgeOrigins(n, b int) []int {
+	return []int{-farReach, -(b + 5), -(b + 4), -(b + 3), -(b + 2), -b, -b + 1, -1, 0, 1,
+		n - b - 1, n - b, n - b + 1, n - 1, n, n + 1, n + 2, n + 3, n + farReach}
+}
 
-		PredictChroma(got, ref, bx, by, mv, bw, bh)
-		predictChromaRef(want, ref, bx, by, mv, bw, bh)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("PredictChroma (%d,%d) mv=%v %dx%d [%d]: got %d want %d", bx, by, mv, bw, bh, i, got[i], want[i])
+// TestEdgeOriginsMatchRef sweeps block origins around every edge and
+// corner, with every sub-pel phase, over planes whose border is
+// exactly the derived minimum (block size + EdgeReach): the bordered
+// kernels must equal the clamped oracles everywhere, and no read may
+// leave the plane.
+func TestEdgeOriginsMatchRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var sc Scratch
+	for _, b := range []int{4, 8, 16} {
+		W, H := 24+rng.Intn(9), 20+rng.Intn(9)
+		ref := borderedPlane(W, H, b+EdgeReach, randPix(rng, W, H, 0))
+		cur := randCur(rng, W, H, 0)
+		scratch := make([]uint8, b*b)
+		for _, oy := range edgeOrigins(H, b) {
+			for _, ox := range edgeOrigins(W, b) {
+				// Every eighth-pel phase for chroma; the luma paths
+				// see the quarter-pel ones among them.
+				for phase := int32(0); phase < 64; phase++ {
+					mv := MV{X: phase & 7, Y: phase >> 3}
+					luma := mv.X < 4 && mv.Y < 4
+					checkPredictions(t, ref, ox, oy, mv, b, b, &sc, luma, true)
+				}
+				cx, cy := rng.Intn(W-b+1), rng.Intn(H-b+1)
+				for phase := int32(0); phase < 16; phase++ {
+					mv := MV{X: int32(ox-cx)*4 + phase&3, Y: int32(oy-cy)*4 + phase>>2}
+					want := sadSubpelRef(cur, cx, cy, ref, mv, b, b, scratch)
+					if got, _ := sadSubpelThresh(cur, cx, cy, ref, mv, b, b, 1<<40); got != want {
+						t.Fatalf("sadSubpelThresh %dx%d (%d,%d) mv=%v: got %d want %d", b, b, cx, cy, mv, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -101,20 +186,20 @@ func TestSadSubpelMatchesRef(t *testing.T) {
 	for iter := 0; iter < 3000; iter++ {
 		W := 24 + rng.Intn(40)
 		H := 24 + rng.Intn(30)
-		cur := randPlane(rng, W, H, iter%3)
+		cur := randCur(rng, W, H, iter%3)
 		ref := randPlane(rng, W, H, (iter+2)%3)
 		bw, bh := 16, 16
 		cx := rng.Intn(W - bw + 1)
 		cy := rng.Intn(H - bh + 1)
-		mv := randMV(rng, 6)
+		// Vectors reach from the block to farReach past every edge.
+		mv := MV{X: int32(edgePos(rng, W)-cx)*4 + int32(rng.Intn(4)), Y: int32(edgePos(rng, H)-cy)*4 + int32(rng.Intn(4))}
 
-		scratch := make([]uint8, bw*bh)
 		want := sadSubpelRef(cur, cx, cy, ref, mv, bw, bh, make([]uint8, bw*bh))
-		if got := sadSubpel(cur, cx, cy, ref, mv, bw, bh, scratch); got != want {
+		if got, _ := sadSubpelThresh(cur, cx, cy, ref, mv, bw, bh, math.MaxInt64); got != want {
 			t.Fatalf("sadSubpel (%d,%d) mv=%v: got %d want %d", cx, cy, mv, got, want)
 		}
 		for _, th := range []int64{1, want / 2, want, want + 1} {
-			got, early := sadSubpelThresh(cur, cx, cy, ref, mv, bw, bh, scratch, th)
+			got, early := sadSubpelThresh(cur, cx, cy, ref, mv, bw, bh, th)
 			if !early && got != want {
 				t.Fatalf("sadSubpelThresh(th=%d): complete scan %d want %d", th, got, want)
 			}
@@ -199,7 +284,7 @@ func searchRef(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, 
 	if p.SubPel == 0 {
 		return best, bestCost
 	}
-	scratch := sc.predBuf(bw * bh)
+	scratch := make([]uint8, bw*bh)
 	subEvals := 0
 	steps := [2]int32{2, 1}
 	nSteps := 1
@@ -238,7 +323,7 @@ func TestSearchMatchesRef(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		W := 40 + rng.Intn(40)
 		H := 40 + rng.Intn(24)
-		cur := randPlane(rng, W, H, iter%3)
+		cur := randCur(rng, W, H, iter%3)
 		ref := randPlane(rng, W, H, (iter+1)%3)
 		bw, bh := 16, 16
 		bx := rng.Intn(W - bw + 1)
@@ -272,18 +357,17 @@ func TestPredSADThreshMatchesPredSAD(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for iter := 0; iter < 1000; iter++ {
 		W, H := 48, 48
-		cur := randPlane(rng, W, H, iter%3)
+		cur := randCur(rng, W, H, iter%3)
 		ref := randPlane(rng, W, H, (iter+1)%3)
 		bx := rng.Intn(W - 16 + 1)
 		by := rng.Intn(H - 16 + 1)
 		mv := randMV(rng, 6)
-		scratch := make([]uint8, 16*16)
 
 		var c1, c2 perf.Counters
-		exact := PredSAD(cur, bx, by, ref, mv, 16, 16, scratch, &c1)
+		exact := PredSAD(cur, bx, by, ref, mv, 16, 16, &c1)
 		for _, th := range []int64{1, exact, exact + 1, 1 << 40} {
 			var c perf.Counters
-			got, early := PredSADThresh(cur, bx, by, ref, mv, 16, 16, scratch, th, &c)
+			got, early := PredSADThresh(cur, bx, by, ref, mv, 16, 16, th, &c)
 			if !early && got != exact {
 				t.Fatalf("PredSADThresh(th=%d): %d want %d", th, got, exact)
 			}

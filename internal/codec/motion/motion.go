@@ -7,6 +7,11 @@
 // The interpolation functions are the normative motion-compensation
 // path: the encoder's reconstruction loop and the decoder both call
 // them, so prediction is bit-identical on both sides.
+//
+// Reference planes are bordered (see Plane and EdgeReach): every
+// prediction and SAD clamps its block origin once and then runs the
+// clamp-free kernels of internal/codec/kern, so no path clamps per
+// sample.
 package motion
 
 import (
@@ -22,76 +27,86 @@ type MV struct {
 	X, Y int32
 }
 
-// Plane is a read-only view of one sample plane.
+// Plane is a read-only view of one sample plane: W×H samples with row
+// stride Stride, surrounded on every side by Border samples that
+// replicate the nearest edge sample. Sample (x, y), for x in
+// [−Border, W+Border) and y in [−Border, H+Border), lives at
+// Pix[p.Off(x, y)]. A source plane has no border (Stride W, Border 0);
+// a reference plane — anything passed as ref below — must carry a
+// border of at least bw+EdgeReach samples for the largest block width
+// bw (and bh+EdgeReach for the largest height) it is predicted with.
 type Plane struct {
-	Pix  []uint8
-	W, H int
+	Pix    []uint8
+	W, H   int
+	Stride int
+	Border int
 }
 
-// clampedSample returns the sample at (x, y) with edge replication.
-func (p Plane) clampedSample(x, y int) uint8 {
-	if x < 0 {
-		x = 0
-	} else if x >= p.W {
-		x = p.W - 1
+// NewPlane returns the unbordered view of w×h row-major samples.
+func NewPlane(pix []uint8, w, h int) Plane {
+	return Plane{Pix: pix, W: w, H: h, Stride: w}
+}
+
+// Off returns the index in Pix of sample (x, y).
+func (p Plane) Off(x, y int) int {
+	return (y+p.Border)*p.Stride + x + p.Border
+}
+
+// ExtendBorder fills the border by replicating the outermost interior
+// row and column, corners included. The reconstruction loop runs it
+// once per plane after deblocking, so a reference plane reads as the
+// edge-clamped picture anywhere inside its border.
+func (p Plane) ExtendBorder() {
+	b := p.Border
+	if b == 0 {
+		return
 	}
-	if y < 0 {
-		y = 0
-	} else if y >= p.H {
-		y = p.H - 1
+	for y := 0; y < p.H; y++ {
+		row := p.Pix[p.Off(-b, y):p.Off(p.W+b, y)]
+		left, right := row[b], row[b+p.W-1]
+		for x := 0; x < b; x++ {
+			row[x] = left
+			row[b+p.W+x] = right
+		}
 	}
-	return p.Pix[y*p.W+x]
+	n := p.W + 2*b
+	top := p.Pix[p.Off(-b, 0):][:n]
+	bot := p.Pix[p.Off(-b, p.H-1):][:n]
+	for y := 1; y <= b; y++ {
+		copy(p.Pix[p.Off(-b, -y):][:n], top)
+		copy(p.Pix[p.Off(-b, p.H-1+y):][:n], bot)
+	}
+}
+
+// EdgeReach is the border, beyond the block size, that motion
+// compensation reads. Every entry point below first clamps the block's
+// integer origin (ix, iy) into [−(bw+3), W+2] × [−(bh+3), H+2]
+// (clampOrigin); the widest read, the 4-tap filter, then touches
+// columns ix−1 … ix+bw+1, so the reads stay within bw+4 samples of the
+// picture on every side.
+//
+// The clamp is exact. A window whose origin lies left of −(bw+3)
+// reads only columns < 0, which the edge-clamped picture replicates
+// from column 0, row by row; moved right to −(bw+3) it still reads
+// only columns < 0, so every tap sees the same sample as before. The
+// same holds right of W+2 (columns ≥ W replicate column W−1) and in
+// the vertical. A border of bw+EdgeReach therefore serves any vector,
+// whatever the search range or a hostile bitstream says.
+const EdgeReach = 4
+
+// clampOrigin clamps a block's integer origin as described at
+// EdgeReach.
+func (p Plane) clampOrigin(ix, iy, bw, bh int) (int, int) {
+	return clampInt(ix, -(bw + 3), p.W+2), clampInt(iy, -(bh + 3), p.H+2)
 }
 
 // SAD returns the sum of absolute differences between the bw×bh block
 // of cur at (cx, cy) — which must lie fully inside cur — and the block
-// of ref at (rx, ry), which is clamped to the reference bounds.
-// Interior references take the packed SWAR kernel; edge-clamped ones
-// stay on the scalar loop. sadRef preserves the all-scalar original as
-// the cross-check reference.
+// of ref at (rx, ry), which may lie anywhere: samples outside ref
+// replicate its edges.
 func SAD(cur Plane, cx, cy int, ref Plane, rx, ry int, bw, bh int) int64 {
-	if rx >= 0 && ry >= 0 && rx+bw <= ref.W && ry+bh <= ref.H {
-		return kern.SAD(cur.Pix[cy*cur.W+cx:], cur.W, ref.Pix[ry*ref.W+rx:], ref.W, bw, bh)
-	}
-	return sadClamped(cur, cx, cy, ref, rx, ry, bw, bh)
-}
-
-// sadClamped is the edge-replicating SAD slow path.
-func sadClamped(cur Plane, cx, cy int, ref Plane, rx, ry int, bw, bh int) int64 {
-	var sum int64
-	for y := 0; y < bh; y++ {
-		cRow := cur.Pix[(cy+y)*cur.W+cx:]
-		for x := 0; x < bw; x++ {
-			d := int(cRow[x]) - int(ref.clampedSample(rx+x, ry+y))
-			if d < 0 {
-				d = -d
-			}
-			sum += int64(d)
-		}
-	}
-	return sum
-}
-
-// sadRef is the original all-scalar SAD, kept verbatim as the
-// reference implementation for the kernel cross-check tests.
-func sadRef(cur Plane, cx, cy int, ref Plane, rx, ry int, bw, bh int) int64 {
-	var sum int64
-	fastPath := rx >= 0 && ry >= 0 && rx+bw <= ref.W && ry+bh <= ref.H
-	if fastPath {
-		for y := 0; y < bh; y++ {
-			cRow := cur.Pix[(cy+y)*cur.W+cx:]
-			rRow := ref.Pix[(ry+y)*ref.W+rx:]
-			for x := 0; x < bw; x++ {
-				d := int(cRow[x]) - int(rRow[x])
-				if d < 0 {
-					d = -d
-				}
-				sum += int64(d)
-			}
-		}
-		return sum
-	}
-	return sadClamped(cur, cx, cy, ref, rx, ry, bw, bh)
+	sad, _ := sadThresh(cur, cx, cy, ref, rx, ry, bw, bh, math.MaxInt64)
+	return sad
 }
 
 // sadThresh is SAD with deterministic early termination (see
@@ -102,40 +117,18 @@ func sadRef(cur Plane, cx, cy int, ref Plane, rx, ry int, bw, bh int) int64 {
 // comparisons they are guaranteed to lose (cost ≥ thresh + mvCost ≥
 // incumbent best).
 func sadThresh(cur Plane, cx, cy int, ref Plane, rx, ry int, bw, bh int, thresh int64) (int64, bool) {
-	if rx >= 0 && ry >= 0 && rx+bw <= ref.W && ry+bh <= ref.H {
-		return kern.SADThresh(cur.Pix[cy*cur.W+cx:], cur.W, ref.Pix[ry*ref.W+rx:], ref.W, bw, bh, thresh)
-	}
-	if thresh <= 0 {
-		return 0, true
-	}
-	var sum int64
-	for y := 0; y < bh; y++ {
-		cRow := cur.Pix[(cy+y)*cur.W+cx:]
-		for x := 0; x < bw; x++ {
-			d := int(cRow[x]) - int(ref.clampedSample(rx+x, ry+y))
-			if d < 0 {
-				d = -d
-			}
-			sum += int64(d)
-		}
-		if sum >= thresh && y+1 < bh {
-			return sum, true
-		}
-	}
-	return sum, false
+	rx, ry = ref.clampOrigin(rx, ry, bw, bh)
+	return kern.SADThresh(cur.Pix[cur.Off(cx, cy):], cur.Stride, ref.Pix[ref.Off(rx, ry):], ref.Stride, bw, bh, thresh)
 }
 
-// Scratch holds the reusable buffers of one motion-search /
-// motion-compensation caller, hoisted out of the per-call hot path so
-// steady-state search and sub-pel interpolation perform no heap
-// allocations. Buffers grow on demand and are retained across calls;
-// each Scratch must be owned by a single goroutine (the codec gives
-// every slice encoder its own). A nil *Scratch is valid and falls back
-// to per-call allocation, preserving the old behaviour for callers
-// that do not keep one.
+// Scratch holds the reusable buffers of one motion-compensation
+// caller, hoisted out of the per-call hot path so steady-state
+// interpolation performs no heap allocations. Buffers grow on demand
+// and are retained across calls; each Scratch must be owned by a
+// single goroutine (the codec gives every slice encoder its own). A
+// nil *Scratch is valid and falls back to per-call allocation.
 type Scratch struct {
-	pred []uint8
-	tmp  []int32
+	tmp []int32
 
 	// SADEarlyExits counts SAD evaluations the threshold kernels
 	// aborted early during searches using this Scratch. Telemetry
@@ -143,17 +136,6 @@ type Scratch struct {
 	// coding decision, and perf.Counters op counts stay at their
 	// nominal (full-block) values regardless of aborts.
 	SADEarlyExits int64
-}
-
-// predBuf returns an n-sample prediction buffer.
-func (s *Scratch) predBuf(n int) []uint8 {
-	if s == nil {
-		return make([]uint8, n)
-	}
-	if cap(s.pred) < n {
-		s.pred = make([]uint8, n)
-	}
-	return s.pred[:n]
 }
 
 // tmpBuf returns an n-element intermediate buffer for the separable
@@ -173,128 +155,62 @@ func (s *Scratch) tmpBuf(n int) []int32 {
 // these instead of bilinear interpolation: the sharper kernel
 // preserves texture under motion, reducing residual energy — one of
 // the real compression advantages of the newer codecs.
-var sharpTaps = [4][4]int{
+var sharpTaps = [4][4]int32{
 	{0, 64, 0, 0},
 	{-5, 56, 15, -2},
 	{-4, 36, 36, -4},
 	{-2, 15, 56, -5},
 }
 
+// copyBlock writes the bw×bh block of ref at the (clamped) integer
+// origin (ix, iy) into dst (stride bw).
+func copyBlock(dst []uint8, ref Plane, ix, iy, bw, bh int) {
+	ix, iy = ref.clampOrigin(ix, iy, bw, bh)
+	off := ref.Off(ix, iy)
+	for y := 0; y < bh; y++ {
+		copy(dst[y*bw:(y+1)*bw], ref.Pix[off+y*ref.Stride:])
+	}
+}
+
 // PredictLumaSharp writes the motion-compensated prediction like
 // PredictLuma but interpolates sub-pel positions with the separable
 // 4-tap kernel (applied horizontally then vertically with
-// intermediate 14-bit precision). sc provides the intermediate-pass
-// buffer; nil allocates one per call.
+// intermediate 14-bit precision; see kern.PredictSharp). sc provides
+// the intermediate-pass buffer; nil allocates one per call.
 func PredictLumaSharp(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int, sc *Scratch) {
 	ix := bx + int(mv.X>>2)
 	iy := by + int(mv.Y>>2)
 	fx := int(mv.X & 3)
 	fy := int(mv.Y & 3)
 	if fx == 0 && fy == 0 {
-		for y := 0; y < bh; y++ {
-			for x := 0; x < bw; x++ {
-				dst[y*bw+x] = ref.clampedSample(ix+x, iy+y)
-			}
-		}
+		copyBlock(dst, ref, ix, iy, bw, bh)
 		return
 	}
-	wx := sharpTaps[fx]
-	wy := sharpTaps[fy]
-	// Horizontal pass over bh+3 rows (one above, two below), Q6.
-	tmpH := bh + 3
-	tmp := sc.tmpBuf(bw * tmpH)
-	for y := 0; y < tmpH; y++ {
-		sy := iy + y - 1
-		for x := 0; x < bw; x++ {
-			var s int
-			for i := 0; i < 4; i++ {
-				s += wx[i] * int(ref.clampedSample(ix+x-1+i, sy))
-			}
-			tmp[y*bw+x] = int32(s)
-		}
-	}
-	// Vertical pass, Q12 → samples.
-	for y := 0; y < bh; y++ {
-		for x := 0; x < bw; x++ {
-			var s int32
-			for j := 0; j < 4; j++ {
-				s += int32(wy[j]) * tmp[(y+j)*bw+x]
-			}
-			v := (s + 2048) >> 12
-			if v < 0 {
-				v = 0
-			} else if v > 255 {
-				v = 255
-			}
-			dst[y*bw+x] = uint8(v)
-		}
-	}
+	ix, iy = ref.clampOrigin(ix, iy, bw, bh)
+	kern.PredictSharp(dst, bw, ref.Pix[ref.Off(ix-1, iy-1):], ref.Stride, &sharpTaps[fx], &sharpTaps[fy], sc.tmpBuf(bw*(bh+3)), bw, bh)
 }
 
 // PredictLuma writes the motion-compensated bw×bh prediction of the
 // block at (bx, by) with motion vector mv (quarter-pel) from ref into
 // dst (row-major, stride bw). Sub-pel positions use bilinear
 // interpolation with 1/16 rounding; out-of-frame references replicate
-// edges.
-// Interior blocks — the overwhelmingly common case away from frame
-// edges — skip per-sample clamping: integer vectors become row
-// copies and sub-pel vectors take the SWAR kernel. Edge positions
-// fall back to predictLumaRef, the preserved scalar original, which
-// is also the cross-check reference.
+// edges. Integer vectors are row copies; sub-pel vectors take the SWAR
+// kernel.
 func PredictLuma(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int) {
 	ix := bx + int(mv.X>>2)
 	iy := by + int(mv.Y>>2)
 	fx := int(mv.X & 3)
 	fy := int(mv.Y & 3)
 	if fx == 0 && fy == 0 {
-		if ix >= 0 && iy >= 0 && ix+bw <= ref.W && iy+bh <= ref.H {
-			for y := 0; y < bh; y++ {
-				copy(dst[y*bw:(y+1)*bw], ref.Pix[(iy+y)*ref.W+ix:])
-			}
-			return
-		}
-		predictLumaRef(dst, ref, bx, by, mv, bw, bh)
+		copyBlock(dst, ref, ix, iy, bw, bh)
 		return
 	}
-	if ix >= 0 && iy >= 0 && ix+bw+1 <= ref.W && iy+bh+1 <= ref.H {
-		w00 := (4 - fx) * (4 - fy)
-		w10 := fx * (4 - fy)
-		w01 := (4 - fx) * fy
-		w11 := fx * fy
-		kern.PredictBilinear(dst, bw, ref.Pix[iy*ref.W+ix:], ref.W, w00, w10, w01, w11, 8, 4, bw, bh)
-		return
-	}
-	predictLumaRef(dst, ref, bx, by, mv, bw, bh)
-}
-
-// predictLumaRef is the original clamped scalar implementation of
-// PredictLuma, the normative reference for all luma prediction paths.
-func predictLumaRef(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int) {
-	ix := bx + int(mv.X>>2)
-	iy := by + int(mv.Y>>2)
-	fx := int(mv.X & 3)
-	fy := int(mv.Y & 3)
-	if fx == 0 && fy == 0 {
-		for y := 0; y < bh; y++ {
-			for x := 0; x < bw; x++ {
-				dst[y*bw+x] = ref.clampedSample(ix+x, iy+y)
-			}
-		}
-		return
-	}
+	ix, iy = ref.clampOrigin(ix, iy, bw, bh)
 	w00 := (4 - fx) * (4 - fy)
 	w10 := fx * (4 - fy)
 	w01 := (4 - fx) * fy
 	w11 := fx * fy
-	for y := 0; y < bh; y++ {
-		for x := 0; x < bw; x++ {
-			a := int(ref.clampedSample(ix+x, iy+y))
-			b := int(ref.clampedSample(ix+x+1, iy+y))
-			c := int(ref.clampedSample(ix+x, iy+y+1))
-			d := int(ref.clampedSample(ix+x+1, iy+y+1))
-			dst[y*bw+x] = uint8((a*w00 + b*w10 + c*w01 + d*w11 + 8) >> 4)
-		}
-	}
+	kern.PredictBilinear(dst, bw, ref.Pix[ref.Off(ix, iy):], ref.Stride, w00, w10, w01, w11, 8, 4, bw, bh)
 }
 
 // PredictChroma writes the bw×bh chroma prediction for chroma-plane
@@ -306,64 +222,24 @@ func PredictChroma(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int) {
 	fx := int(mv.X & 7)
 	fy := int(mv.Y & 7)
 	if fx == 0 && fy == 0 {
-		if ix >= 0 && iy >= 0 && ix+bw <= ref.W && iy+bh <= ref.H {
-			for y := 0; y < bh; y++ {
-				copy(dst[y*bw:(y+1)*bw], ref.Pix[(iy+y)*ref.W+ix:])
-			}
-			return
-		}
-		predictChromaRef(dst, ref, bx, by, mv, bw, bh)
+		copyBlock(dst, ref, ix, iy, bw, bh)
 		return
 	}
-	if ix >= 0 && iy >= 0 && ix+bw+1 <= ref.W && iy+bh+1 <= ref.H {
-		w00 := (8 - fx) * (8 - fy)
-		w10 := fx * (8 - fy)
-		w01 := (8 - fx) * fy
-		w11 := fx * fy
-		kern.PredictBilinear(dst, bw, ref.Pix[iy*ref.W+ix:], ref.W, w00, w10, w01, w11, 32, 6, bw, bh)
-		return
-	}
-	predictChromaRef(dst, ref, bx, by, mv, bw, bh)
-}
-
-// predictChromaRef is the original clamped scalar implementation of
-// PredictChroma, the normative reference for chroma prediction.
-func predictChromaRef(dst []uint8, ref Plane, bx, by int, mv MV, bw, bh int) {
-	ix := bx + int(mv.X>>3)
-	iy := by + int(mv.Y>>3)
-	fx := int(mv.X & 7)
-	fy := int(mv.Y & 7)
-	if fx == 0 && fy == 0 {
-		for y := 0; y < bh; y++ {
-			for x := 0; x < bw; x++ {
-				dst[y*bw+x] = ref.clampedSample(ix+x, iy+y)
-			}
-		}
-		return
-	}
+	ix, iy = ref.clampOrigin(ix, iy, bw, bh)
 	w00 := (8 - fx) * (8 - fy)
 	w10 := fx * (8 - fy)
 	w01 := (8 - fx) * fy
 	w11 := fx * fy
-	for y := 0; y < bh; y++ {
-		for x := 0; x < bw; x++ {
-			a := int(ref.clampedSample(ix+x, iy+y))
-			b := int(ref.clampedSample(ix+x+1, iy+y))
-			c := int(ref.clampedSample(ix+x, iy+y+1))
-			d := int(ref.clampedSample(ix+x+1, iy+y+1))
-			dst[y*bw+x] = uint8((a*w00 + b*w10 + c*w01 + d*w11 + 32) >> 6)
-		}
-	}
+	kern.PredictBilinear(dst, bw, ref.Pix[ref.Off(ix, iy):], ref.Stride, w00, w10, w01, w11, 32, 6, bw, bh)
 }
 
 // sadSubpelThresh computes the SAD of the current block against the
 // interpolated reference at quarter-pel vector mv, aborting (like
-// sadThresh) once the running sum reaches thresh. Interior sub-pel
-// windows take the fused SWAR interpolate+SAD kernel, which never
-// materializes the prediction; all other cases predict into scratch
-// with the normative path and difference the packed buffer. Both
-// routes produce the exact PredictLuma+SAD value when not aborted.
-func sadSubpelThresh(cur Plane, cx, cy int, ref Plane, mv MV, bw, bh int, scratch []uint8, thresh int64) (int64, bool) {
+// sadThresh) once the running sum reaches thresh. Sub-pel windows take
+// the fused SWAR interpolate+SAD kernel, which never materializes the
+// prediction; the result is the exact PredictLuma+SAD value when not
+// aborted.
+func sadSubpelThresh(cur Plane, cx, cy int, ref Plane, mv MV, bw, bh int, thresh int64) (int64, bool) {
 	ix := cx + int(mv.X>>2)
 	iy := cy + int(mv.Y>>2)
 	fx := int(mv.X & 3)
@@ -371,49 +247,20 @@ func sadSubpelThresh(cur Plane, cx, cy int, ref Plane, mv MV, bw, bh int, scratc
 	if fx == 0 && fy == 0 {
 		return sadThresh(cur, cx, cy, ref, ix, iy, bw, bh, thresh)
 	}
-	if ix >= 0 && iy >= 0 && ix+bw+1 <= ref.W && iy+bh+1 <= ref.H {
-		w00 := (4 - fx) * (4 - fy)
-		w10 := fx * (4 - fy)
-		w01 := (4 - fx) * fy
-		w11 := fx * fy
-		return kern.BilinearSADThresh(cur.Pix[cy*cur.W+cx:], cur.W, ref.Pix[iy*ref.W+ix:], ref.W,
-			w00, w10, w01, w11, 8, 4, bw, bh, thresh)
-	}
-	PredictLuma(scratch, ref, cx, cy, mv, bw, bh)
-	return kern.SADThresh(cur.Pix[cy*cur.W+cx:], cur.W, scratch, bw, bw, bh, thresh)
-}
-
-// sadSubpel computes the exact SAD of the current block against the
-// interpolated reference at quarter-pel vector mv.
-func sadSubpel(cur Plane, cx, cy int, ref Plane, mv MV, bw, bh int, scratch []uint8) int64 {
-	sad, _ := sadSubpelThresh(cur, cx, cy, ref, mv, bw, bh, scratch, math.MaxInt64)
-	return sad
-}
-
-// sadSubpelRef is the original predict-then-difference scalar
-// implementation, kept as the cross-check reference.
-func sadSubpelRef(cur Plane, cx, cy int, ref Plane, mv MV, bw, bh int, scratch []uint8) int64 {
-	predictLumaRef(scratch, ref, cx, cy, mv, bw, bh)
-	var sum int64
-	for y := 0; y < bh; y++ {
-		cRow := cur.Pix[(cy+y)*cur.W+cx:]
-		pRow := scratch[y*bw:]
-		for x := 0; x < bw; x++ {
-			d := int(cRow[x]) - int(pRow[x])
-			if d < 0 {
-				d = -d
-			}
-			sum += int64(d)
-		}
-	}
-	return sum
+	ix, iy = ref.clampOrigin(ix, iy, bw, bh)
+	w00 := (4 - fx) * (4 - fy)
+	w10 := fx * (4 - fy)
+	w01 := (4 - fx) * fy
+	w11 := fx * fy
+	return kern.BilinearSADThresh(cur.Pix[cur.Off(cx, cy):], cur.Stride, ref.Pix[ref.Off(ix, iy):], ref.Stride,
+		w00, w10, w01, w11, 8, 4, bw, bh, thresh)
 }
 
 // PredSAD returns the SAD between the bw×bh block of cur at (bx, by)
 // and its motion-compensated prediction from ref at quarter-pel vector
-// mv. scratch must hold bw×bh samples. Work is accounted into c.
-func PredSAD(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, scratch []uint8, c *perf.Counters) int64 {
-	sad, _ := PredSADThresh(cur, bx, by, ref, mv, bw, bh, scratch, math.MaxInt64, c)
+// mv. Work is accounted into c.
+func PredSAD(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, c *perf.Counters) int64 {
+	sad, _ := PredSADThresh(cur, bx, by, ref, mv, bw, bh, math.MaxInt64, c)
 	return sad
 }
 
@@ -422,15 +269,15 @@ func PredSAD(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, scratch []uint
 // ≥ thresh and early=true. Counter accounting is identical to PredSAD
 // — op counts are nominal full-block work, unaffected by aborts, so
 // modeled speeds stay deterministic (see docs/FORMAT.md).
-func PredSADThresh(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, scratch []uint8, thresh int64, c *perf.Counters) (int64, bool) {
+func PredSADThresh(cur Plane, bx, by int, ref Plane, mv MV, bw, bh int, thresh int64, c *perf.Counters) (int64, bool) {
 	blockOps := int64(bw * bh)
 	if mv.X&3 == 0 && mv.Y&3 == 0 {
 		c.Count(perf.KSAD, blockOps)
-		return sadThresh(cur, bx, by, ref, bx+int(mv.X>>2), by+int(mv.Y>>2), bw, bh, thresh)
+	} else {
+		c.Count(perf.KInterp, blockOps*4)
+		c.Count(perf.KSAD, blockOps)
 	}
-	c.Count(perf.KInterp, blockOps*4)
-	c.Count(perf.KSAD, blockOps)
-	return sadSubpelThresh(cur, bx, by, ref, mv, bw, bh, scratch, thresh)
+	return sadSubpelThresh(cur, bx, by, ref, mv, bw, bh, thresh)
 }
 
 // SearchKind selects the integer-pel search strategy.
@@ -512,9 +359,9 @@ func (s *intSearcher) cost(mx, my int) int64 {
 
 // Search finds a motion vector for the bw×bh block at (bx, by) of cur
 // in ref. pred is the motion-vector predictor used for rate costing
-// and as the search start point. sc provides the sub-pel interpolation
-// scratch (nil allocates per call). Returns the best vector
-// (quarter-pel) and its cost. Work is accounted into c.
+// and as the search start point. sc, if not nil, collects the
+// early-exit telemetry. Returns the best vector (quarter-pel) and its
+// cost. Work is accounted into c.
 func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc *Scratch, c *perf.Counters) (MV, int64) {
 	blockOps := int64(bw * bh)
 	s := intSearcher{cur: cur, ref: ref, bx: bx, by: by, bw: bw, bh: bh, pred: pred, lambda: p.Lambda, best: math.MaxInt64}
@@ -567,7 +414,6 @@ func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc 
 	// candidate's SAD aborts once it reaches bestCost−mvCost; aborted
 	// values cannot win the comparison, so the refinement trajectory
 	// matches the full evaluation exactly.
-	scratch := sc.predBuf(bw * bh)
 	subEvals := 0
 	steps := [2]int32{2, 1}
 	nSteps := 1
@@ -586,7 +432,7 @@ func Search(cur Plane, bx, by int, ref Plane, pred MV, bw, bh int, p Params, sc 
 				}
 				subEvals++
 				mvCost := p.Lambda * mvdBits(cand, pred) / 16
-				sad, early := sadSubpelThresh(cur, bx, by, ref, cand, bw, bh, scratch, bestCost-mvCost)
+				sad, early := sadSubpelThresh(cur, bx, by, ref, cand, bw, bh, bestCost-mvCost)
 				if early {
 					s.earlyExits++
 				}

@@ -7,25 +7,24 @@ import (
 	"vbench/internal/rng"
 )
 
-// makePlane builds a textured test plane.
+// makePlane builds a textured, bordered test plane.
 func makePlane(w, h int, seed uint64) Plane {
 	r := rng.New(seed)
 	pix := make([]uint8, w*h)
 	for i := range pix {
 		pix[i] = uint8(r.Intn(256))
 	}
-	return Plane{Pix: pix, W: w, H: h}
+	return borderedPlane(w, h, testBorder, func(x, y int) uint8 { return pix[y*w+x] })
+}
+
+// fillPlane builds a bordered w×h plane whose sample (x, y) is f(x, y).
+func fillPlane(w, h int, f func(x, y int) uint8) Plane {
+	return borderedPlane(w, h, testBorder, f)
 }
 
 // shiftPlane returns src translated by (dx, dy) with edge replication.
 func shiftPlane(src Plane, dx, dy int) Plane {
-	dst := Plane{Pix: make([]uint8, src.W*src.H), W: src.W, H: src.H}
-	for y := 0; y < src.H; y++ {
-		for x := 0; x < src.W; x++ {
-			dst.Pix[y*src.W+x] = src.clampedSample(x-dx, y-dy)
-		}
-	}
-	return dst
+	return fillPlane(src.W, src.H, func(x, y int) uint8 { return src.clampedSample(x-dx, y-dy) })
 }
 
 func TestSADIdenticalBlocksIsZero(t *testing.T) {
@@ -36,12 +35,8 @@ func TestSADIdenticalBlocksIsZero(t *testing.T) {
 }
 
 func TestSADKnownValue(t *testing.T) {
-	a := Plane{Pix: make([]uint8, 64), W: 8, H: 8}
-	b := Plane{Pix: make([]uint8, 64), W: 8, H: 8}
-	for i := range a.Pix {
-		a.Pix[i] = 10
-		b.Pix[i] = 13
-	}
+	a := fillPlane(8, 8, func(x, y int) uint8 { return 10 })
+	b := fillPlane(8, 8, func(x, y int) uint8 { return 13 })
 	if got := SAD(a, 0, 0, b, 0, 0, 8, 8); got != 3*64 {
 		t.Errorf("SAD = %d, want %d", got, 3*64)
 	}
@@ -55,7 +50,7 @@ func TestSADClampsOutOfBounds(t *testing.T) {
 	var want int64
 	for y := 0; y < 16; y++ {
 		for x := 0; x < 16; x++ {
-			d := int(p.Pix[y*32+x]) - int(p.clampedSample(x-5, y-5))
+			d := int(p.at(x, y)) - int(p.clampedSample(x-5, y-5))
 			if d < 0 {
 				d = -d
 			}
@@ -83,18 +78,13 @@ func TestPredictLumaIntegerVectorCopies(t *testing.T) {
 
 func TestPredictLumaHalfPelAverages(t *testing.T) {
 	// A plane with a horizontal ramp: half-pel shift must land midway.
-	p := Plane{Pix: make([]uint8, 32*32), W: 32, H: 32}
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 32; x++ {
-			p.Pix[y*32+x] = uint8(x * 8)
-		}
-	}
+	p := fillPlane(32, 32, func(x, y int) uint8 { return uint8(x * 8) })
 	dst := make([]uint8, 16)
 	PredictLuma(dst, p, 8, 8, MV{X: 2, Y: 0}, 4, 4) // +0.5 px horizontally
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
-			a := int(p.Pix[(8+y)*32+8+x])
-			b := int(p.Pix[(8+y)*32+8+x+1])
+			a := int(p.at(8+x, 8+y))
+			b := int(p.at(8+x+1, 8+y))
 			want := (a + b + 1) / 2
 			got := int(dst[y*4+x])
 			if got < want-1 || got > want+1 {
@@ -159,7 +149,7 @@ func makeSmooth(w, h int, seed uint64) Plane {
 			pix[y*w+x] = uint8((top*(8-fy) + bot*fy) / 64)
 		}
 	}
-	return Plane{Pix: pix, W: w, H: h}
+	return fillPlane(w, h, func(x, y int) uint8 { return pix[y*w+x] })
 }
 
 func TestFullSearchFindsExactShift(t *testing.T) {
@@ -190,18 +180,17 @@ func TestSubPelRefinementImprovesSAD(t *testing.T) {
 	// Construct a reference whose best match is at a half-pel offset:
 	// current = average of two neighbouring columns.
 	ref := makeSmooth(96, 96, 13)
-	cur := Plane{Pix: make([]uint8, 96*96), W: 96, H: 96}
-	for y := 0; y < 96; y++ {
-		for x := 0; x < 95; x++ {
-			cur.Pix[y*96+x] = uint8((int(ref.Pix[y*96+x]) + int(ref.Pix[y*96+x+1]) + 1) / 2)
+	cur := fillPlane(96, 96, func(x, y int) uint8 {
+		if x == 95 {
+			return 0
 		}
-	}
+		return uint8((int(ref.at(x, y)) + int(ref.at(x+1, y)) + 1) / 2)
+	})
 	var c perf.Counters
-	scratch := make([]uint8, 256)
 	mvInt, _ := Search(cur, 32, 32, ref, MV{}, 16, 16, Params{Kind: SearchFull, Range: 4, SubPel: 0}, nil, &c)
 	mvHalf, _ := Search(cur, 32, 32, ref, MV{}, 16, 16, Params{Kind: SearchFull, Range: 4, SubPel: 2}, nil, &c)
-	sadInt := PredSAD(cur, 32, 32, ref, mvInt, 16, 16, scratch, &c)
-	sadHalf := PredSAD(cur, 32, 32, ref, mvHalf, 16, 16, scratch, &c)
+	sadInt := PredSAD(cur, 32, 32, ref, mvInt, 16, 16, &c)
+	sadHalf := PredSAD(cur, 32, 32, ref, mvHalf, 16, 16, &c)
 	if sadHalf > sadInt {
 		t.Errorf("sub-pel refinement worsened SAD: %d > %d", sadHalf, sadInt)
 	}
@@ -239,10 +228,7 @@ func TestSearchRespectsRange(t *testing.T) {
 func TestLambdaPenalizesLongVectors(t *testing.T) {
 	// On a flat plane all SADs are equal; with a rate penalty the
 	// search must return the predictor (here zero).
-	p := Plane{Pix: make([]uint8, 64*64), W: 64, H: 64}
-	for i := range p.Pix {
-		p.Pix[i] = 100
-	}
+	p := fillPlane(64, 64, func(x, y int) uint8 { return 100 })
 	var c perf.Counters
 	mv, _ := Search(p, 24, 24, p, MV{}, 16, 16, Params{Kind: SearchFull, Range: 6, Lambda: 160}, nil, &c)
 	if mv.X != 0 || mv.Y != 0 {
@@ -266,12 +252,7 @@ func TestSharpInterpFullPelMatchesCopy(t *testing.T) {
 
 func TestSharpInterpHalfPelNearBilinear(t *testing.T) {
 	// On a smooth ramp the 4-tap kernel and bilinear agree closely.
-	p := Plane{Pix: make([]uint8, 64*64), W: 64, H: 64}
-	for y := 0; y < 64; y++ {
-		for x := 0; x < 64; x++ {
-			p.Pix[y*64+x] = uint8(2*x + y)
-		}
-	}
+	p := fillPlane(64, 64, func(x, y int) uint8 { return uint8(2*x + y) })
 	a := make([]uint8, 64)
 	b := make([]uint8, 64)
 	mv := MV{X: 2, Y: 2}
@@ -290,16 +271,12 @@ func TestSharpInterpSharperOnTexture(t *testing.T) {
 	// the signal; the 4-tap kernel must keep strictly more energy than
 	// bilinear (its raison d'être). Half-pel is excluded: at exactly
 	// half a sample, Nyquist energy is zero for every symmetric filter.
-	p := Plane{Pix: make([]uint8, 64*64), W: 64, H: 64}
-	for y := 0; y < 64; y++ {
-		for x := 0; x < 64; x++ {
-			if x%2 == 0 {
-				p.Pix[y*64+x] = 80
-			} else {
-				p.Pix[y*64+x] = 180
-			}
+	p := fillPlane(64, 64, func(x, y int) uint8 {
+		if x%2 == 0 {
+			return 80
 		}
-	}
+		return 180
+	})
 	bi := make([]uint8, 64)
 	sh := make([]uint8, 64)
 	mv := MV{X: 1, Y: 0} // quarter-pel
@@ -321,11 +298,20 @@ func TestSharpInterpSharperOnTexture(t *testing.T) {
 }
 
 func TestSharpInterpEdgeClamped(t *testing.T) {
-	// Vectors pointing far outside the frame must not panic and must
-	// produce valid samples.
+	// Vectors pointing far outside the frame — up to the ±2²⁰
+	// quarter-pel a hostile bitstream can carry — must not panic and
+	// must match the clamped oracle.
 	p := makePlane(32, 32, 41)
 	dst := make([]uint8, 256)
-	for _, mv := range []MV{{X: -200, Y: -200}, {X: 300, Y: 300}, {X: -199, Y: 299}} {
+	want := make([]uint8, 256)
+	for _, mv := range []MV{{X: -200, Y: -200}, {X: 300, Y: 300}, {X: -199, Y: 299},
+		{X: 1 << 20, Y: -(1 << 20)}, {X: -(1 << 20) + 3, Y: 1<<20 + 2}} {
 		PredictLumaSharp(dst, p, 0, 0, mv, 16, 16, nil)
+		predictLumaSharpRef(want, p, 0, 0, mv, 16, 16)
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("mv %v [%d]: got %d want %d", mv, i, dst[i], want[i])
+			}
+		}
 	}
 }

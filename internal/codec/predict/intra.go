@@ -59,6 +59,8 @@ func Available(m Mode, bx, by, size int, plane motion.Plane) bool {
 
 // Predict writes the size×size intra prediction for the block at
 // (bx, by) of the reconstructed plane into dst (stride size). The
+// plane is addressed through its stride, so bordered reconstructions
+// work as they are. The
 // caller must have checked Available.
 func Predict(dst []uint8, plane motion.Plane, bx, by, size int, m Mode) {
 	PredictClipped(dst, plane, bx, by, size, m, by > 0, bx > 0)
@@ -75,14 +77,14 @@ func PredictClipped(dst []uint8, plane motion.Plane, bx, by, size int, m Mode, h
 		predictDC(dst, plane, bx, by, size, hasTop, hasLeft)
 	case ModeVertical:
 		for x := 0; x < size; x++ {
-			v := plane.Pix[(by-1)*plane.W+bx+x]
+			v := plane.Pix[plane.Off(bx+x, by-1)]
 			for y := 0; y < size; y++ {
 				dst[y*size+x] = v
 			}
 		}
 	case ModeHorizontal:
 		for y := 0; y < size; y++ {
-			v := plane.Pix[(by+y)*plane.W+bx-1]
+			v := plane.Pix[plane.Off(bx-1, by+y)]
 			row := dst[y*size : (y+1)*size]
 			for x := range row {
 				row[x] = v
@@ -99,15 +101,15 @@ func predictDC(dst []uint8, plane motion.Plane, bx, by, size int, hasTop, hasLef
 	sum := 0
 	n := 0
 	if hasTop && by > 0 {
-		row := plane.Pix[(by-1)*plane.W:]
-		for x := 0; x < size; x++ {
-			sum += int(row[bx+x])
+		row := plane.Pix[plane.Off(bx, by-1):][:size]
+		for _, v := range row {
+			sum += int(v)
 		}
 		n += size
 	}
 	if hasLeft && bx > 0 {
 		for y := 0; y < size; y++ {
-			sum += int(plane.Pix[(by+y)*plane.W+bx-1])
+			sum += int(plane.Pix[plane.Off(bx-1, by+y)])
 		}
 		n += size
 	}
@@ -124,15 +126,11 @@ func predictDC(dst []uint8, plane motion.Plane, bx, by, size int, hasTop, hasLef
 // generalized to size 8 or 16.
 func predictPlane(dst []uint8, plane motion.Plane, bx, by, size int) {
 	half := size / 2
-	w := plane.W
+	at := func(x, y int) int { return int(plane.Pix[plane.Off(x, y)]) }
 	var hAcc, vAcc int
 	for i := 1; i <= half; i++ {
-		right := int(plane.Pix[(by-1)*w+bx+half-1+i])
-		left := int(plane.Pix[(by-1)*w+bx+half-1-i])
-		hAcc += i * (right - left)
-		bot := int(plane.Pix[(by+half-1+i)*w+bx-1])
-		top := int(plane.Pix[(by+half-1-i)*w+bx-1])
-		vAcc += i * (bot - top)
+		hAcc += i * (at(bx+half-1+i, by-1) - at(bx+half-1-i, by-1))
+		vAcc += i * (at(bx-1, by+half-1+i) - at(bx-1, by+half-1-i))
 	}
 	var b, c int
 	if size == 16 {
@@ -142,7 +140,7 @@ func predictPlane(dst []uint8, plane motion.Plane, bx, by, size int) {
 		b = (17*hAcc + 16) >> 5
 		c = (17*vAcc + 16) >> 5
 	}
-	a := 16 * (int(plane.Pix[(by+size-1)*w+bx-1]) + int(plane.Pix[(by-1)*w+bx+size-1]))
+	a := 16 * (at(bx-1, by+size-1) + at(bx+size-1, by-1))
 	for y := 0; y < size; y++ {
 		for x := 0; x < size; x++ {
 			v := (a + b*(x-half+1) + c*(y-half+1) + 16) >> 5

@@ -13,7 +13,7 @@ func testPlane(w, h int, seed uint64) motion.Plane {
 	for i := range pix {
 		pix[i] = uint8(r.Intn(256))
 	}
-	return motion.Plane{Pix: pix, W: w, H: h}
+	return motion.NewPlane(pix, w, h)
 }
 
 func TestAvailability(t *testing.T) {
@@ -52,7 +52,7 @@ func TestDCWithoutNeighborsIsMidGray(t *testing.T) {
 }
 
 func TestDCAveragesNeighbors(t *testing.T) {
-	p := motion.Plane{Pix: make([]uint8, 64*64), W: 64, H: 64}
+	p := motion.NewPlane(make([]uint8, 64*64), 64, 64)
 	for i := range p.Pix {
 		p.Pix[i] = 100
 	}
@@ -96,7 +96,7 @@ func TestHorizontalCopiesLeftColumn(t *testing.T) {
 func TestPlaneModeReproducesLinearRamp(t *testing.T) {
 	// On a plane that is itself a linear ramp, the plane predictor
 	// should reproduce it almost exactly.
-	p := motion.Plane{Pix: make([]uint8, 64*64), W: 64, H: 64}
+	p := motion.NewPlane(make([]uint8, 64*64), 64, 64)
 	for y := 0; y < 64; y++ {
 		for x := 0; x < 64; x++ {
 			p.Pix[y*64+x] = uint8(2*x + y)
@@ -117,7 +117,7 @@ func TestPlaneModeReproducesLinearRamp(t *testing.T) {
 
 func TestPlaneModeChromaSize(t *testing.T) {
 	// Exercise the size-8 constants path.
-	p := motion.Plane{Pix: make([]uint8, 32*32), W: 32, H: 32}
+	p := motion.NewPlane(make([]uint8, 32*32), 32, 32)
 	for y := 0; y < 32; y++ {
 		for x := 0; x < 32; x++ {
 			p.Pix[y*32+x] = uint8(4 * x)
@@ -151,6 +151,39 @@ func TestModeStrings(t *testing.T) {
 	for m, want := range names {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), want)
+		}
+	}
+}
+
+// TestPredictBorderedPlane checks that prediction addresses a plane
+// through its stride and border: a bordered copy of a plane predicts
+// exactly like the unbordered original, for every mode and position.
+func TestPredictBorderedPlane(t *testing.T) {
+	flat := testPlane(48, 32, 9)
+	const b = 16
+	bordered := motion.Plane{Pix: make([]uint8, (48+2*b)*(32+2*b)), W: 48, H: 32, Stride: 48 + 2*b, Border: b}
+	for y := 0; y < 32; y++ {
+		copy(bordered.Pix[bordered.Off(0, y):][:48], flat.Pix[y*48:])
+	}
+	bordered.ExtendBorder()
+	for _, size := range []int{8, 16} {
+		want := make([]uint8, size*size)
+		got := make([]uint8, size*size)
+		for by := 0; by+size <= 32; by += size {
+			for bx := 0; bx+size <= 48; bx += size {
+				for m := ModeDC; m < NumModes; m++ {
+					if !Available(m, bx, by, size, flat) {
+						continue
+					}
+					Predict(want, flat, bx, by, size, m)
+					Predict(got, bordered, bx, by, size, m)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%v size %d at (%d,%d) [%d]: bordered %d, flat %d", m, size, bx, by, i, got[i], want[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -30,9 +30,9 @@ func quantizeBlock(res []int32, reconRes []int32, n, qp int, dz transform.DeadZo
 	if n == 8 {
 		scan = transform.ZigZag8[:]
 	}
-	// Fused reciprocal quantize + zigzag gather; produces exactly
-	// transform.Quantize followed by transform.Scan (locked together by
-	// TestQuantScanMatchesReference). Counter accounting is unchanged.
+	// Fused reciprocal quantize + zigzag gather; produces exactly the
+	// divide-based quantizer oracle followed by transform.Scan (locked
+	// together by TestQuantScanMatchesReference). Counter accounting is unchanged.
 	var zz [64]int32
 	nonzero := kern.QuantScan(coeffs[:nn], zz[:nn], scan, qp, int64(dz))
 	c.Count(perf.KQuant, int64(nn))

@@ -309,20 +309,88 @@ func copyPad(dst []uint8, dw, dh int, src []uint8, sw, sh int) {
 	}
 }
 
-// cropFrame returns a copy of f reduced to width×height (top-left
-// corner). If no cropping is needed the original is returned.
+// RefPad is the width, in luma samples, of the replicated border
+// around every reconstructed picture; chroma planes carry RefPad/2.
+// Motion compensation reads references through that border instead of
+// clamping each sample (see motion.EdgeReach and DESIGN.md, "Bordered
+// references"). A frame of (W+2·RefPad)×(H+2·RefPad) luma samples has
+// exactly that chroma border, so a bordered picture is an ordinary
+// pooled video.Frame.
+const RefPad = 32
+
+// The border must hold a whole macroblock-sized block plus the
+// motion-compensation reach in every plane; either line fails to
+// compile otherwise.
+const (
+	_ = uint(RefPad - (MBSize + motion.EdgeReach))
+	_ = uint(RefPad/2 - (MBSize/2 + motion.EdgeReach))
+)
+
+// getRecon returns a pooled bordered picture for a w×h (macroblock-
+// padded) reconstruction. Every interior sample is written by a
+// macroblock commit and every border sample by extendBorders, so the
+// pooled contents never leak into output.
+func getRecon(w, h int) *video.Frame {
+	return video.GetFrame(w+2*RefPad, h+2*RefPad)
+}
+
+// reconPlane returns the bordered view of plane p of a picture from
+// getRecon.
+func reconPlane(f *video.Frame, p video.Plane) motion.Plane {
+	pix, w, h := f.PlaneData(p)
+	b := RefPad
+	if p != video.PlaneY {
+		b = RefPad / 2
+	}
+	return motion.Plane{Pix: pix, W: w - 2*b, H: h - 2*b, Stride: w, Border: b}
+}
+
+// srcPlane returns the unbordered view of plane p of a source frame.
+func srcPlane(f *video.Frame, p video.Plane) motion.Plane {
+	pix, w, h := f.PlaneData(p)
+	return motion.NewPlane(pix, w, h)
+}
+
+// chromaID maps a chroma index (0 Cb, 1 Cr) to its plane.
+func chromaID(p int) video.Plane { return video.PlaneCb + video.Plane(p) }
+
+// allPlanes lists the planes of a frame.
+var allPlanes = [3]video.Plane{video.PlaneY, video.PlaneCb, video.PlaneCr}
+
+// extendBorders fills the border of every plane of a finished
+// reconstruction, making it a motion-compensation reference.
+func extendBorders(f *video.Frame) {
+	for _, p := range allPlanes {
+		reconPlane(f, p).ExtendBorder()
+	}
+}
+
+// commitMB writes a macroblock's reconstruction, at luma position
+// (px, py), into the interior of a bordered picture.
+func commitMB(f *video.Frame, c *mbCand, px, py int) {
+	y := reconPlane(f, video.PlaneY)
+	for r := 0; r < MBSize; r++ {
+		copy(y.Pix[y.Off(px, py+r):][:MBSize], c.lumaRecon[r*MBSize:(r+1)*MBSize])
+	}
+	for p := 0; p < 2; p++ {
+		cp := reconPlane(f, chromaID(p))
+		for r := 0; r < 8; r++ {
+			copy(cp.Pix[cp.Off(px/2, py/2+r):][:8], c.chromaRecon[p][r*8:(r+1)*8])
+		}
+	}
+}
+
+// cropFrame copies the top-left width×height of a bordered
+// reconstruction's interior into a new frame. It always copies, so
+// output frames never alias a pooled reference.
 func cropFrame(f *video.Frame, width, height int) *video.Frame {
-	if f.Width == width && f.Height == height {
-		return f
-	}
 	g := video.NewFrame(width, height)
-	for y := 0; y < height; y++ {
-		copy(g.Y[y*width:(y+1)*width], f.Y[y*f.Width:y*f.Width+width])
-	}
-	cw, ch := width/2, height/2
-	for y := 0; y < ch; y++ {
-		copy(g.Cb[y*cw:(y+1)*cw], f.Cb[y*f.ChromaWidth():y*f.ChromaWidth()+cw])
-		copy(g.Cr[y*cw:(y+1)*cw], f.Cr[y*f.ChromaWidth():y*f.ChromaWidth()+cw])
+	for _, p := range allPlanes {
+		src := reconPlane(f, p)
+		dst, w, h := g.PlaneData(p)
+		for y := 0; y < h; y++ {
+			copy(dst[y*w:(y+1)*w], src.Pix[src.Off(0, y):])
+		}
 	}
 	return g
 }

@@ -85,14 +85,74 @@ func TestPadAndCropInverse(t *testing.T) {
 			t.Fatal("bottom padding not edge-replicated")
 		}
 	}
-	back := cropFrame(padded, 52, 38)
+	back := cropFrame(toRecon(padded), 52, 38)
 	if !back.Equal(f) {
 		t.Error("crop(pad(f)) != f")
 	}
-	// Aligned frames pass through unchanged (same pointer).
+	// Aligned sources pass through padFrame unchanged (same pointer);
+	// cropFrame always copies a reconstruction's interior out, so an
+	// output frame never aliases a pooled reference.
 	g := video.NewFrame(64, 48)
-	if padFrame(g) != g || cropFrame(g, 64, 48) != g {
-		t.Error("aligned frames should not be copied")
+	if padFrame(g) != g {
+		t.Error("aligned source frames should not be copied")
+	}
+	r := toRecon(g)
+	out := cropFrame(r, 64, 48)
+	if !out.Equal(g) {
+		t.Error("crop of an aligned reconstruction != its interior")
+	}
+	if &out.Y[0] == &r.Y[0] || &out.Cb[0] == &r.Cb[0] || &out.Cr[0] == &r.Cr[0] {
+		t.Error("cropFrame output aliases the reconstruction")
+	}
+}
+
+// toRecon returns a bordered reconstruction (getRecon layout) whose
+// interior is f and whose border replicates f's edges.
+func toRecon(f *video.Frame) *video.Frame {
+	r := getRecon(f.Width, f.Height)
+	for _, p := range allPlanes {
+		dst := reconPlane(r, p)
+		src, w, h := f.PlaneData(p)
+		for y := 0; y < h; y++ {
+			copy(dst.Pix[dst.Off(0, y):][:w], src[y*w:])
+		}
+	}
+	extendBorders(r)
+	return r
+}
+
+// TestReconBorderReplicatesEdges checks the bordered layout: the
+// border of every plane repeats the nearest interior sample, the
+// chroma border is half the luma one, and the interior is untouched.
+func TestReconBorderReplicatesEdges(t *testing.T) {
+	p := video.ContentParams{Seed: 5, Detail: 0.8, ChromaVariety: 0.6}
+	seq, err := video.Generate(p, 48, 32, 1, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := seq.Frames[0]
+	r := toRecon(f)
+	if r.Width != 48+2*RefPad || r.Height != 32+2*RefPad {
+		t.Fatalf("bordered picture is %dx%d", r.Width, r.Height)
+	}
+	for _, id := range allPlanes {
+		pl := reconPlane(r, id)
+		want := RefPad
+		if id != video.PlaneY {
+			want = RefPad / 2
+		}
+		if pl.Border != want {
+			t.Fatalf("%v border %d, want %d", id, pl.Border, want)
+		}
+		src, w, h := f.PlaneData(id)
+		for y := -pl.Border; y < h+pl.Border; y++ {
+			for x := -pl.Border; x < w+pl.Border; x++ {
+				cx, cy := min(max(x, 0), w-1), min(max(y, 0), h-1)
+				if got, want := pl.Pix[pl.Off(x, y)], src[cy*w+cx]; got != want {
+					t.Fatalf("%v (%d,%d): %d, want %d", id, x, y, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -144,7 +204,7 @@ func TestQuadBlocks4CoverAllBlocks(t *testing.T) {
 
 func TestIntra4AvailAndPredict(t *testing.T) {
 	r := rng.New(1)
-	plane := motion.Plane{Pix: make([]uint8, 64*64), W: 64, H: 64}
+	plane := motion.NewPlane(make([]uint8, 64*64), 64, 64)
 	for i := range plane.Pix {
 		plane.Pix[i] = uint8(r.Intn(256))
 	}

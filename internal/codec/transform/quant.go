@@ -38,26 +38,6 @@ const (
 	DeadZoneInter DeadZone = 11 // ≈ 1/6 in Q6
 )
 
-// Quantize maps Q3 coefficients to quantization levels:
-// level = sign(c) · floor((|c|·8 + dz·qstep/64) / qstep).
-// coeffs and levels may alias.
-func Quantize(coeffs []int32, levels []int32, qp int, dz DeadZone) {
-	step := int64(QStepQ6(qp))
-	offset := step * int64(dz) / 64
-	for i, c := range coeffs {
-		v := int64(c) * 8 // Q3 → Q6
-		neg := v < 0
-		if neg {
-			v = -v
-		}
-		l := (v + offset) / step
-		if neg {
-			l = -l
-		}
-		levels[i] = int32(l)
-	}
-}
-
 // Dequantize maps levels back to Q3 coefficients:
 // c = round(level · qstep / 8). Both the encoder's reconstruction
 // loop and the decoder use this exact function, so reconstruction is

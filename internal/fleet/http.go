@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -305,10 +306,27 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, TimelineResponse{Job: id, Dropped: dropped, Events: events})
 }
 
-// decode parses the JSON request body, answering 400 on failure.
+// maxBodyBytes bounds every request body the master decodes. The
+// largest legitimate bodies are a 540-job submit — one burst of the
+// benchmark's fleet workload — at 174 KB with every JobSpec field set
+// and 64-byte tags, and an ack carrying a worker's metrics push at
+// under 1 KB (TestHTTPBodyLimitFitsLargestRequests measures both).
+// 1 MiB leaves a margin of six over the larger, while a runaway or
+// hostile client can no longer make the master buffer and parse an
+// unbounded body.
+const maxBodyBytes = 1 << 20
+
+// decode parses the JSON request body, answering 413 when it exceeds
+// maxBodyBytes and 400 on any other failure.
 func decode(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("fleet: bad request body: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("fleet: bad request body: %w", err))
 		return false
 	}
 	return true

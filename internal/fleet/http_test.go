@@ -327,3 +327,107 @@ func TestHTTPTerminalSpecFailure(t *testing.T) {
 		t.Errorf("LastErr = %q", j.LastErr)
 	}
 }
+
+// largestSubmit is the biggest legitimate submit: 540 encode jobs (one
+// burst of the benchmark's fleet workload) with every JobSpec field
+// set and 64-byte tags.
+func largestSubmit() SubmitRequest {
+	var req SubmitRequest
+	for i := 0; i < 540; i++ {
+		req.Jobs = append(req.Jobs, JobSpec{
+			Kind: KindEncode, Tag: strings.Repeat("t", 64),
+			Clip: "presentation", Scale: 64, Duration: 0.0666666666666667,
+			Encoder: "x265-veryslow-2pass", RC: "2pass", QP: 51,
+			BitrateBPS: 123456789.125, KeyInterval: 250, Slices: 64,
+			RowsParallel: 64, SleepMS: 1000000, FailFirst: 1000,
+		})
+	}
+	return req
+}
+
+// TestHTTPBodyLimitFitsLargestRequests measures the largest legitimate
+// request bodies — a 540-job submit and an ack carrying a worker's
+// metrics push after real encodes — and checks that maxBodyBytes holds
+// each with a margin of at least four.
+func TestHTTPBodyLimitFitsLargestRequests(t *testing.T) {
+	submit, err := json.Marshal(largestSubmit())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	q := NewQueue(Options{Metrics: telemetry.NewRegistry(), LeaseTTL: time.Hour})
+	srv := testMaster(t, q)
+	var resp SubmitResponse
+	rawPost(t, srv.URL+"/api/v1/submit", &SubmitRequest{Jobs: []JobSpec{
+		{Clip: "girl", Encoder: "x264-veryfast", Scale: 64, Duration: 0.1, QP: 30},
+		{Clip: "girl", Encoder: "x265-medium", Scale: 64, Duration: 0.1, RC: "2pass", BitrateBPS: 50000},
+	}}, &resp)
+	reg := telemetry.NewRegistry()
+	w, err := NewWorker(WorkerOptions{Master: srv.URL, ID: "w1", Poll: 5 * time.Millisecond, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	go func() {
+		for q.Stats().Done < 2 && ctx.Err() == nil {
+			time.Sleep(5 * time.Millisecond)
+		}
+		cancel()
+	}()
+	if err := w.Run(ctx); err != nil && ctx.Err() == nil {
+		t.Fatal(err)
+	}
+	push, seq := w.buildPush()
+	ack, err := json.Marshal(AckRequest{Worker: "w1", JobID: 1 << 40, Attempt: 1 << 20,
+		Result: &Result{Bytes: 1 << 40, PSNR: 45.123456789, Seconds: 12.3456789, InputBytes: 1 << 40, Worker: "w1", Attempt: 1 << 20},
+		Push:   push, PushSeq: seq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := q.Stats(); st.Done != 2 {
+		t.Fatalf("worker finished %d of 2 encodes", st.Done)
+	}
+	t.Logf("540-job submit %d bytes, ack with push %d bytes, limit %d", len(submit), len(ack), maxBodyBytes)
+	for name, n := range map[string]int{"submit": len(submit), "ack": len(ack)} {
+		if 4*n > maxBodyBytes {
+			t.Errorf("%s body of %d bytes leaves less than a margin of four under %d", name, n, maxBodyBytes)
+		}
+	}
+}
+
+// TestHTTPOversizedBodyRejected posts bodies just over maxBodyBytes to
+// every endpoint that decodes one: each must get 413 without touching
+// the queue, while the largest legitimate submit still succeeds.
+func TestHTTPOversizedBodyRejected(t *testing.T) {
+	q := NewQueue(Options{Metrics: telemetry.NewRegistry(), LeaseTTL: time.Hour})
+	srv := testMaster(t, q)
+	huge, err := json.Marshal(SubmitRequest{Jobs: []JobSpec{
+		{Kind: KindNoop, Tag: strings.Repeat("x", maxBodyBytes)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []string{"submit", "lease", "heartbeat", "complete", "fail"} {
+		r, err := http.Post(srv.URL+"/api/v1/"+ep, "application/json", bytes.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body got %s, want 413", ep, r.Status)
+		}
+	}
+	if st := q.Stats(); st.Pending != 0 || st.Leased != 0 || st.Done != 0 {
+		t.Fatalf("an oversized body changed the queue: %+v", st)
+	}
+	req := largestSubmit()
+	for i := range req.Jobs {
+		req.Jobs[i] = JobSpec{Kind: KindNoop, Tag: req.Jobs[i].Tag}
+	}
+	var resp SubmitResponse
+	rawPost(t, srv.URL+"/api/v1/submit", &req, &resp)
+	if len(resp.IDs) != 540 {
+		t.Fatalf("largest submit assigned %d ids, want 540", len(resp.IDs))
+	}
+}
